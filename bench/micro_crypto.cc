@@ -5,10 +5,10 @@
 // a dedicated squaring path, CRT decryption, and the one-multiply
 // randomizer-pipeline encryption), plus fixed-base exponentiation (per-base
 // window tables, math/fixed_base.h) against the sliding-window path it
-// amortizes away. Also measures a fig11-style private weighting round with
-// the fast path off/on and with the fixed-base weighting tables off/on
-// (full round and the silo-weighting phase they accelerate), so the
-// end-to-end protocol speedups land in the same artifact, plus the
+// amortizes away. Also measures the silo's short-exponent fold per user
+// against the full-width per-user table fold it replaced, and fig11-style
+// private weighting rounds at pack_slots 1/2/4/8, so the end-to-end
+// protocol speedups land in the same artifact, plus the
 // remaining substrate unit costs behind Figures 10/11 (BigInt mul/div,
 // secure-aggregation masking serial vs pooled, SHA-256, the ChaCha stream,
 // C_LCM).
@@ -18,11 +18,14 @@
 //   ULDP_BENCH_SMOKE=1 — CI smoke: 512-bit only, short measurement windows
 //   ULDP_BENCH_SCALE=full — adds the 2048-bit point
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_common.h"
@@ -34,7 +37,6 @@
 #include "crypto/secure_agg.h"
 #include "crypto/sha256.h"
 #include "math/fixed_base.h"
-#include "math/multi_exp.h"
 #include "math/primes.h"
 
 namespace {
@@ -103,56 +105,11 @@ double Find(const std::vector<OpRow>& rows, const std::string& op,
   return 0.0;
 }
 
-/// One full private-weighting round, timed, with the Paillier fast path
-/// and the fixed-base weighting tables toggled. Returns wall seconds;
-/// `out` receives the round result so the caller can assert the paths
-/// agree bitwise, and `weighting_s` (optional) the silo-weighting phase
-/// seconds — the phase the fixed-base tables accelerate.
-double TimedProtocolRound(bool fast_paillier, bool fixed_base, int users,
-                          int dim, Vec* out, double* weighting_s = nullptr) {
-  const int silos = 3;
-  ProtocolConfig pc;
-  pc.paillier_bits = 512;
-  pc.n_max = 64;
-  pc.seed = 99;
-  pc.fast_paillier = fast_paillier;
-  pc.fixed_base = fixed_base;
-  PrivateWeightingProtocol protocol(pc, silos, users);
-  Rng rng(17);
-  std::vector<std::vector<int>> hist(silos, std::vector<int>(users, 0));
-  for (int u = 0; u < users; ++u) {
-    hist[static_cast<int>(rng.UniformInt(silos))][u] =
-        1 + static_cast<int>(rng.UniformInt(10));
-  }
-  if (!protocol.Setup(hist).ok()) return -1.0;
-  std::vector<std::vector<Vec>> deltas(silos, std::vector<Vec>(users));
-  std::vector<Vec> noise(silos, Vec(dim));
-  for (int s = 0; s < silos; ++s) {
-    for (int u = 0; u < users; ++u) {
-      if (hist[s][u] == 0) continue;
-      deltas[s][u].resize(dim);
-      for (double& v : deltas[s][u]) v = rng.Gaussian(0.0, 0.1);
-    }
-    for (double& v : noise[s]) v = rng.Gaussian(0.0, 0.1);
-  }
-  std::vector<bool> sampled(users, true);
-  auto start = Clock::now();
-  auto result = protocol.WeightingRound(0, deltas, noise, sampled);
-  double seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  if (!result.ok()) return -1.0;
-  *out = std::move(result.value());
-  if (weighting_s != nullptr) *weighting_s = protocol.timings().silo_weighting_s;
-  return seconds;
-}
-
 /// One protocol round on a pack-feasible configuration (small n_max /
-/// precision / clip so pack_slots up to 8 fits a 512-bit plaintext), with
-/// the packing factor, Pippenger multi-exp, and fixed-base tables
-/// toggled. Returns wall seconds; `out` receives the aggregate so the
-/// caller can assert every configuration decodes bitwise identically.
-double TimedPackedRound(int pack_slots, bool multi_exp, bool fixed_base,
-                        int users, int dim, Vec* out) {
+/// precision / clip so pack_slots up to 8 fits a 512-bit plaintext).
+/// Returns wall seconds; `out` receives the aggregate so the caller can
+/// assert every packing factor decodes bitwise identically.
+double TimedPackedRound(int pack_slots, int users, int dim, Vec* out) {
   const int silos = 3;
   ProtocolConfig pc;
   pc.paillier_bits = 512;
@@ -161,8 +118,6 @@ double TimedPackedRound(int pack_slots, bool multi_exp, bool fixed_base,
   pc.pack_clip = 8.0;
   pc.seed = 909;
   pc.pack_slots = pack_slots;
-  pc.multi_exp = multi_exp;
-  pc.fixed_base = fixed_base;
   PrivateWeightingProtocol protocol(pc, silos, users);
   Rng rng(23);
   std::vector<std::vector<int>> hist(silos, std::vector<int>(users, 0));
@@ -190,6 +145,132 @@ double TimedPackedRound(int pack_slots, bool multi_exp, bool fixed_base,
   if (!result.ok()) return -1.0;
   *out = std::move(result.value());
   return seconds;
+}
+
+/// Per-user seconds of one silo's fold over a chunk of `users` users at
+/// `dim` model coordinates (`pack_slots` per ciphertext): SiloCore's
+/// short-exponent fold against the full-width table fold it replaced —
+/// per user one MakeMulPlaintextTable over Enc(B_inv(N_u)) and one
+/// MulPlaintextWithTable per coordinate group with the full scalar
+/// Encode(delta) * r_u * n_su * C_LCM mod n. The bench plays the server
+/// with its own key, so it knows B(N_u) = r_u * N_u and with it the
+/// reference scalar B(N_u) * n_su * (C_LCM / N_u); both accumulators must
+/// then decrypt to the same plaintexts.
+struct ShortFoldResult {
+  double short_s = -1.0;
+  double reference_s = -1.0;
+  bool plaintext_equal = false;
+};
+
+ShortFoldResult ShortFoldSeries(int bits, int users, int dim, int pack_slots,
+                                double window, int min_iters) {
+  ShortFoldResult result;
+  const int silos = 2;
+  ProtocolConfig pc;
+  pc.paillier_bits = bits;
+  pc.n_max = 30;
+  pc.seed = 31;
+  pc.pack_slots = pack_slots;
+  PaillierPublicKey pk;
+  PaillierSecretKey sk;
+  Rng keyrng(43);
+  ThreadPool pool(1);
+  if (!Paillier::GenerateKeyPair(bits, keyrng, &pk, &sk, &pool).ok()) {
+    return result;
+  }
+  ProtocolParams params;
+  params.config = pc;
+  params.num_silos = silos;
+  params.num_users = users;
+  params.public_key = pk;
+  if (!params.Derive().ok()) return result;
+  Rng rng(37);
+  std::vector<std::vector<int>> hist(silos, std::vector<int>(users));
+  for (auto& row : hist) {
+    for (int& count : row) count = 1 + static_cast<int>(rng.UniformInt(10));
+  }
+  std::vector<std::unique_ptr<SiloCore>> cores;
+  std::vector<BigInt> directory;
+  for (int s = 0; s < silos; ++s) {
+    cores.push_back(std::make_unique<SiloCore>(params, s, hist[s]));
+    directory.push_back(cores.back()->dh_key().public_key);
+  }
+  const BigInt seed = cores[0]->MakeSharedSeed();
+  const BigInt& n = pk.n;
+  std::vector<BigInt> blinded_totals(users, BigInt(0));
+  for (auto& core : cores) {
+    if (!core->ComputePairKeys(directory).ok()) return result;
+    core->SetSharedSeed(seed);
+    auto blinded = core->BlindHistogram(pool);
+    if (!blinded.ok()) return result;
+    for (int u = 0; u < users; ++u) {
+      blinded_totals[u] = blinded_totals[u].ModAdd(blinded.value()[u], n);
+    }
+  }
+  PaillierContext ctx(pk, sk);
+  std::vector<BigInt> enc(users);
+  for (int u = 0; u < users; ++u) {
+    auto b_inv = blinded_totals[u].ModInverse(n);
+    if (!b_inv.ok()) return result;
+    enc[u] = ctx.Encrypt(b_inv.value(), rng).value();
+  }
+  std::vector<Vec> deltas(users, Vec(dim));
+  for (Vec& delta : deltas) {
+    for (double& v : delta) v = rng.Gaussian(0.0, 1.0);
+  }
+
+  // Reference scalars and encodings, prepared outside the timed loop.
+  const size_t cdim = params.packed.PackedDim(dim);
+  const size_t slots = static_cast<size_t>(params.packed.slots());
+  std::vector<std::vector<BigInt>> scalars(users, std::vector<BigInt>(cdim));
+  for (int u = 0; u < users; ++u) {
+    const int total = hist[0][u] + hist[1][u];
+    const BigInt user_scalar =
+        blinded_totals[u]
+            .ModMul(BigInt(static_cast<int64_t>(hist[0][u])), n)
+            .ModMul((params.c_lcm / BigInt(static_cast<int64_t>(total)))
+                        .Mod(n),
+                    n);
+    for (size_t g = 0; g < cdim; ++g) {
+      auto e = params.packed.active()
+                   ? params.packed.EncodeGroup(
+                         deltas[u].data() + g * slots,
+                         std::min(slots, static_cast<size_t>(dim) - g * slots))
+                   : params.codec.Encode(deltas[u][g]);
+      if (!e.ok()) return result;
+      scalars[u][g] = e.value().ModMul(user_scalar, n);
+    }
+  }
+
+  const SiloCore& silo = *cores[0];
+  std::vector<BigInt> short_acc, reference_acc;
+  bool fold_ok = true;
+  auto short_fold = [&] {
+    short_acc = SiloCore::NewCipherAccumulator(cdim);
+    fold_ok = fold_ok && silo.AccumulateUsersChunk(enc, 0, users, deltas,
+                                                   dim, &short_acc, pool)
+                             .ok();
+  };
+  auto reference_fold = [&] {
+    reference_acc = SiloCore::NewCipherAccumulator(cdim);
+    for (int u = 0; u < users; ++u) {
+      FixedBaseTable table = ctx.MakeMulPlaintextTable(enc[u], cdim);
+      for (size_t g = 0; g < cdim; ++g) {
+        reference_acc[g] = ctx.AddCiphertexts(
+            reference_acc[g], ctx.MulPlaintextWithTable(table, scalars[u][g]));
+      }
+    }
+  };
+  result.short_s = SecondsPerOp(short_fold, window, min_iters) / users;
+  result.reference_s = SecondsPerOp(reference_fold, window, min_iters) / users;
+  result.plaintext_equal = fold_ok;
+  for (size_t g = 0; g < cdim; ++g) {
+    auto a = ctx.Decrypt(short_acc[g]);
+    auto b = ctx.Decrypt(reference_acc[g]);
+    result.plaintext_equal = result.plaintext_equal && a.ok() && b.ok() &&
+                             a.value() == b.value();
+  }
+  return result;
 }
 
 }  // namespace
@@ -377,51 +458,37 @@ int main() {
              SecondsPerOp([&] { LcmUpTo(100); }, window, min_iters));
   }
 
-  // -- Pippenger multi-exp vs the per-ciphertext MontExp fold -------------
-  // The weighting-phase shape: fold prod_i c_i^{k_i} mod n^2 over a batch
-  // of ciphertexts. The bucket method shares window squarings across the
-  // whole batch; the loop pays them per base.
+  // -- Silo fold per user: short exponents vs full-width tables ----------
+  // The two P1 shapes at their 1024-bit key (smoke mode too: at 512 bits
+  // a packed exponent is most of the modulus width): dim 4 unpacked
+  // (~35-bit exponents) and 48 ciphertext coordinates at pack_slots 4
+  // (~350-bit exponents), each in an 8-user chunk.
   {
-    PaillierPublicKey pk;
-    PaillierSecretKey sk;
-    Rng keyrng(77);
-    if (!Paillier::GenerateKeyPair(512, keyrng, &pk, &sk).ok()) {
-      std::cerr << "keygen failed for the multi-exp series\n";
-      return 1;
-    }
-    PaillierContext ctx(pk);
-    Rng rng(78);
-    const int batch = 48;
-    std::vector<BigInt> bases, exps;
-    for (int i = 0; i < batch; ++i) {
-      bases.push_back(
-          ctx.Encrypt(BigInt::RandomBelow(pk.n, rng), rng).value());
-      exps.push_back(BigInt::RandomBelow(pk.n, rng));
-    }
-    const Montgomery& mont = ctx.mont_n_squared();
-    const BigInt& m2 = mont.modulus();
-    auto loop_fold = [&] {
-      BigInt acc(1);
-      for (int i = 0; i < batch; ++i) {
-        acc = acc.ModMul(mont.MontExp(bases[i], exps[i]), m2);
+    const int fold_bits = 1024;
+    bool equal = true;
+    for (const auto& [shape, dim, pack] :
+         std::vector<std::tuple<std::string, int, int>>{
+             {"dim4", 4, 1}, {"packed48", 192, 4}}) {
+      const ShortFoldResult r =
+          ShortFoldSeries(fold_bits, 8, dim, pack, window, min_iters);
+      if (r.short_s <= 0.0 || r.reference_s <= 0.0) {
+        std::cerr << "short-fold series failed at shape " << shape << "\n";
+        return 1;
       }
-      return acc;
-    };
-    MultiExp multi(mont, bases);
-    if (multi.Product(exps) != loop_fold()) {
-      std::cerr << "BUG: multi-exp disagrees with the MontExp fold\n";
+      const std::string op = "silo_fold_per_user_" + shape;
+      RecordOp(table, json, rows, op, "full_width_table", fold_bits,
+               r.reference_s);
+      RecordOp(table, json, rows, op, "short_exponent", fold_bits,
+               r.short_s);
+      json.Add("speedup_short_fold_vs_table", r.reference_s / r.short_s,
+               {{"shape", shape}, {"bits", std::to_string(fold_bits)}});
+      equal = equal && r.plaintext_equal;
+    }
+    json.Add("short_fold_plaintext_equal", equal ? 1.0 : 0.0);
+    if (!equal) {
+      std::cerr << "BUG: short-exponent fold changed a plaintext\n";
       return 1;
     }
-    const std::string op = "multi_exp_fold" + std::to_string(batch);
-    RecordOp(table, json, rows, op, "loop", 512,
-             SecondsPerOp([&] { loop_fold(); }, window, min_iters));
-    RecordOp(table, json, rows, op, "pippenger", 512,
-             SecondsPerOp([&] { multi.Product(exps); }, window, min_iters));
-    const double loop_s = Find(rows, op, "loop", 512);
-    const double multi_s = Find(rows, op, "pippenger", 512);
-    json.Add("speedup_multi_exp_vs_loop", loop_s / multi_s,
-             {{"bases", std::to_string(batch)}, {"bits", "512"}});
-    json.Add("multi_exp_bitwise_identical", 1.0);
   }
 
   // -- Lim-Lee comb vs radix fixed-base layout ----------------------------
@@ -463,70 +530,13 @@ int main() {
   }
   table.Print(std::cout);
 
-  // -- End-to-end: one fig11-style protocol round, fast path off vs on ----
+  // -- Protocol rounds (fig11-style, 3 silos): pack_slots 1 vs 2 vs 4 vs 8
   const int users = smoke ? 6 : 12;
   const int dim = smoke ? 12 : 48;
-  std::cout << "\n=== Protocol round, Paillier fast path off vs on (3 silos, "
-            << users << " users, " << dim << " params, 512-bit) ===\n";
-  Vec slow_out, fast_out;
-  double slow_s = TimedProtocolRound(false, true, users, dim, &slow_out);
-  double fast_s = TimedProtocolRound(true, true, users, dim, &fast_out);
-  if (slow_s < 0.0 || fast_s < 0.0) {
-    std::cerr << "protocol round failed\n";
-    return 1;
-  }
-  const bool identical = slow_out == fast_out;
-  Table round({"fastpath", "round_seconds", "speedup", "bitwise_identical"});
-  round.AddRow({"off", FormatG(slow_s, 4), "1.0", "ref"});
-  round.AddRow({"on", FormatG(fast_s, 4), FormatG(slow_s / fast_s, 3),
-                identical ? "yes" : "NO (BUG)"});
-  round.Print(std::cout);
-  json.Add("round_seconds", slow_s, {{"fastpath", "off"}});
-  json.Add("round_seconds", fast_s, {{"fastpath", "on"}});
-  json.Add("round_speedup_fastpath", slow_s / fast_s);
-  json.Add("round_bitwise_identical", identical ? 1.0 : 0.0);
-  if (!identical) {
-    std::cerr << "BUG: fast path changed the round output\n";
-    return 1;
-  }
-
-  // -- Weighting phase before/after the per-user fixed-base tables --------
-  std::cout << "\n=== Protocol round, fixed-base weighting tables off vs on "
-               "(fast path on) ===\n";
-  Vec fb_off_out, fb_on_out;
-  double w_off = 0.0, w_on = 0.0;
-  double fb_off_s = TimedProtocolRound(true, false, users, dim, &fb_off_out,
-                                       &w_off);
-  double fb_on_s = TimedProtocolRound(true, true, users, dim, &fb_on_out,
-                                      &w_on);
-  if (fb_off_s < 0.0 || fb_on_s < 0.0) {
-    std::cerr << "protocol round failed\n";
-    return 1;
-  }
-  const bool fb_identical = fb_off_out == fb_on_out;
-  Table fb({"fixed_base", "weighting_phase_s", "phase_speedup",
-            "round_seconds", "bitwise_identical"});
-  fb.AddRow({"off", FormatG(w_off, 4), "1.0", FormatG(fb_off_s, 4), "ref"});
-  fb.AddRow({"on", FormatG(w_on, 4), FormatG(w_off / w_on, 3),
-             FormatG(fb_on_s, 4), fb_identical ? "yes" : "NO (BUG)"});
-  fb.Print(std::cout);
-  json.Add("weighting_phase_seconds", w_off, {{"fixed_base", "off"}});
-  json.Add("weighting_phase_seconds", w_on, {{"fixed_base", "on"}});
-  json.Add("weighting_phase_speedup_fixed_base", w_off / w_on);
-  json.Add("round_seconds_fixed_base_off", fb_off_s);
-  json.Add("round_seconds_fixed_base_on", fb_on_s);
-  json.Add("round_speedup_fixed_base", fb_off_s / fb_on_s);
-  json.Add("fixed_base_bitwise_identical", fb_identical ? 1.0 : 0.0);
-  if (!fb_identical) {
-    std::cerr << "BUG: fixed-base tables changed the round output\n";
-    return 1;
-  }
-
-  // -- Packed protocol rounds: pack_slots 1 vs 2 vs 4 vs 8 ----------------
   std::cout << "\n=== Protocol round with ciphertext packing (pack-feasible "
                "config: n_max 8, precision 1e-6, clip 8) ===\n";
   Vec packed_ref;
-  double packed1_s = TimedPackedRound(1, false, true, users, dim, &packed_ref);
+  double packed1_s = TimedPackedRound(1, users, dim, &packed_ref);
   if (packed1_s < 0.0) {
     std::cerr << "packed protocol round failed\n";
     return 1;
@@ -538,7 +548,7 @@ int main() {
   bool packed_identical = true;
   for (int k : {2, 4, 8}) {
     Vec out;
-    double k_s = TimedPackedRound(k, false, true, users, dim, &out);
+    double k_s = TimedPackedRound(k, users, dim, &out);
     if (k_s < 0.0) {
       std::cerr << "packed protocol round failed at pack_slots " << k << "\n";
       return 1;
@@ -558,36 +568,8 @@ int main() {
     return 1;
   }
 
-  // Multi-exp inside the protocol, against the plain per-ciphertext
-  // MontExp loop (fixed-base tables off in both runs so the comparison
-  // isolates the fold strategy). With only a handful of active users per
-  // silo the bucket method is near break-even — the micro series above
-  // shows the batch-48 gain — so this row is informational, not gated.
-  Vec loop_out, me_out;
-  double loop_round_s =
-      TimedPackedRound(1, false, false, users, dim, &loop_out);
-  double me_round_s = TimedPackedRound(1, true, false, users, dim, &me_out);
-  if (loop_round_s < 0.0 || me_round_s < 0.0) {
-    std::cerr << "multi-exp protocol round failed\n";
-    return 1;
-  }
-  const bool me_identical = loop_out == me_out && loop_out == packed_ref;
-  std::cout << "multi-exp round: loop " << FormatG(loop_round_s, 4)
-            << " s, pippenger " << FormatG(me_round_s, 4) << " s ("
-            << FormatG(loop_round_s / me_round_s, 3) << "x, "
-            << (me_identical ? "bitwise match" : "DIVERGED") << ")\n";
-  json.Add("round_seconds_multi_exp", loop_round_s, {{"mode", "loop"}});
-  json.Add("round_seconds_multi_exp", me_round_s, {{"mode", "pippenger"}});
-  json.Add("round_speedup_multi_exp", loop_round_s / me_round_s);
-  json.Add("multi_exp_round_bitwise_identical", me_identical ? 1.0 : 0.0);
-  if (!me_identical) {
-    std::cerr << "BUG: multi-exp changed the round output\n";
-    return 1;
-  }
-
   std::cout << "\nThe fast path reuses per-key Montgomery contexts, "
-               "decrypts via CRT, consumes precomputed randomizers, and "
-               "amortizes per-user fixed-base tables across the weighting "
-               "loop; outputs are bitwise identical to the cold path.\n";
+               "decrypts via CRT, and consumes precomputed randomizers; the "
+               "silo fold tables each user's short per-coordinate powers.\n";
   return 0;
 }

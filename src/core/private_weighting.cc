@@ -69,7 +69,6 @@ Status PrivateWeightingProtocol::Setup(
   // Each silo's pair is a Fork(0, silo) substream of the seed, so the key
   // exchange needs only the public-key directory — exactly what the server
   // relays in the distributed driver.
-  histograms_ = silo_histograms;
   silos_.clear();
   for (int s = 0; s < num_silos_; ++s) {
     silos_.push_back(std::make_unique<SiloCore>(server_->params(), s,
@@ -176,15 +175,8 @@ Result<Vec> PrivateWeightingProtocol::WeightingRound(
   }
 
   // -- Weighting (b)+(c), silo side: encrypted weighted sums, encoded
-  // noise, pairwise masks. Every silo raises the SAME ciphertext
-  // Enc(B_inv(N_u)), so the orchestrator sweeps users in index-ordered
-  // batches: each batch builds one fixed-base table per user (in
-  // parallel), every silo core consumes the batch read-only on the pool,
-  // then the batch's tables are freed — bounding transient table memory
-  // while paying one table build per user instead of one per
-  // (silo, user). A distributed silo endpoint runs the same phases via
-  // SiloCore::WeightMaskRound with its own tables; outputs are exact
-  // modular products either way, so both layouts are bitwise identical.
+  // noise, pairwise masks, re-randomization — the same SiloCore calls a
+  // distributed silo endpoint makes, so both are bitwise identical.
   t0 = Clock::now();
   for (int s = 0; s < num_silos_; ++s) {
     if (static_cast<int>(clipped_deltas[s].size()) != num_users_) {
@@ -195,11 +187,10 @@ Result<Vec> PrivateWeightingProtocol::WeightingRound(
   if (streaming) {
     // Streaming sweep: encrypt -> fold -> discard in chunks of
     // stream_chunk_users. Each silo folds the chunk into its running
-    // accumulator with its own (chunk-lifetime) tables, so peak resident
-    // ciphertexts are O(chunk), not O(users). Every per-user value comes
-    // from a Fork(round, user) substream and every fold is an exact
-    // modular product, so this path is bitwise identical to the
-    // materializing sweep below.
+    // accumulator, so peak resident ciphertexts are O(chunk), not
+    // O(users). Every per-user value comes from a Fork(round, user)
+    // substream and every fold is an exact modular product, so this path
+    // is bitwise identical to the materializing sweep below.
     std::vector<std::vector<BigInt>> silo_ciphers(num_silos_);
     for (int s = 0; s < num_silos_; ++s) {
       silo_ciphers[s] = SiloCore::NewCipherAccumulator(cdim);
@@ -258,50 +249,14 @@ Result<Vec> PrivateWeightingProtocol::WeightingRound(
     timings_.decryption_s += SecondsSince(t0);
     return out;
   }
-  const bool use_multi_exp = config_.multi_exp && config_.fast_paillier;
-  const bool use_tables =
-      config_.fast_paillier && config_.fixed_base && !use_multi_exp;
-  const bool keep_tables = use_tables && config_.cache_enc_weights;
-  weight_tables_.BeginRound(num_users_, keep_tables);
-  std::vector<uint32_t> silos_with_user;
-  if (use_tables) {
-    silos_with_user.assign(num_users_, 0);
-    for (int s = 0; s < num_silos_; ++s) {
-      for (int u = 0; u < num_users_; ++u) {
-        if (histograms_[s][u] > 0 && !clipped_deltas[s][u].empty()) {
-          ++silos_with_user[u];
-        }
-      }
-    }
-  }
-  std::vector<std::vector<BigInt>> silo_ciphers(num_silos_);
-  for (int s = 0; s < num_silos_; ++s) {
-    silo_ciphers[s] = SiloCore::NewCipherAccumulator(cdim);
-  }
+  std::vector<std::vector<BigInt>> silo_ciphers(
+      num_silos_, SiloCore::NewCipherAccumulator(cdim));
   std::vector<Status> silo_status(num_silos_, Status::Ok());
-  const int user_batch = use_tables || use_multi_exp ? 128 : num_users_;
-  for (int u0 = 0; u0 < num_users_; u0 += user_batch) {
-    const int u1 = std::min(num_users_, u0 + user_batch);
-    if (use_tables) {
-      const PaillierContext* ctx = silos_[0]->eval_context();
-      pool_->ParallelFor(static_cast<size_t>(u1 - u0), [&](size_t i) {
-        const int u = u0 + static_cast<int>(i);
-        if (silos_with_user[u] == 0) return;
-        weight_tables_.Ensure(*ctx, u, enc_weights[u],
-                              static_cast<size_t>(silos_with_user[u]) * cdim);
-      });
-    }
-    pool_->ParallelFor(static_cast<size_t>(num_silos_), [&](size_t s) {
-      if (!silo_status[s].ok()) return;  // earlier batch already failed
-      silo_status[s] = silos_[s]->AccumulateUsers(
-          u0, u1, enc_weights,
-          use_tables ? &weight_tables_.tables() : nullptr,
-          clipped_deltas[s], dim, &silo_ciphers[s], *pool_);
-    });
-    ULDP_RETURN_IF_ERROR(FirstError(silo_status));
-    if (use_tables && !keep_tables) weight_tables_.DropRange(u0, u1);
-  }
   pool_->ParallelFor(static_cast<size_t>(num_silos_), [&](size_t s) {
+    silo_status[s] = silos_[s]->AccumulateUsersChunk(
+        enc_weights, 0, num_users_, clipped_deltas[s], dim, &silo_ciphers[s],
+        *pool_);
+    if (!silo_status[s].ok()) return;
     silo_status[s] = silos_[s]->FinishRound(round, silo_noise[s],
                                             &silo_ciphers[s], *pool_);
   });

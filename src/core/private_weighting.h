@@ -20,8 +20,9 @@
 //         Enc(delta~) = Enc(B_inv)^(Encode(delta) * n_su * r_u * C_LCM)
 //         — the r_u cancels the blind and C_LCM/N_u stays integral — then
 //         sums ciphertexts over users and adds its encoded noise;
-//     (c) silos apply pairwise additive masks homomorphically; the server
-//         multiplies the ciphertexts (masks cancel), decrypts and decodes.
+//     (c) silos apply pairwise additive masks homomorphically and
+//         re-randomize; the server multiplies the ciphertexts (masks
+//         cancel), decrypts and decodes.
 //
 // The phase logic itself lives in core/protocol_party.h (ServerCore +
 // SiloCore): this class is the *in-process orchestrator* that wires one
@@ -99,13 +100,11 @@ class PrivateWeightingProtocol {
   const BigInt& c_lcm() const { return server_->params().c_lcm; }
   bool setup_done() const { return setup_done_; }
 
-  /// Cache counters (config.cache_enc_weights): rounds that reused the
-  /// previous ciphertext vector, and per-user fixed-base tables reused
-  /// across rounds. Both stay 0 with the default config.
+  /// Rounds that reused the previous ciphertext vector
+  /// (config.cache_enc_weights); stays 0 with the default config.
   uint64_t enc_weight_cache_hits() const {
     return server_->enc_weight_cache_hits();
   }
-  uint64_t weight_table_cache_hits() const { return weight_tables_.hits(); }
 
  private:
   ProtocolConfig config_;
@@ -115,15 +114,6 @@ class PrivateWeightingProtocol {
 
   std::unique_ptr<ServerCore> server_;
   std::vector<std::unique_ptr<SiloCore>> silos_;
-  std::vector<std::vector<int>> histograms_;  // for table-use sizing
-
-  // In-process shared fixed-base tables: every silo raises the SAME
-  // ciphertext Enc(B_inv(N_u)), so the orchestrator builds one table per
-  // user per batch and all silo cores consume it read-only (a distributed
-  // silo builds its own inside WeightMaskRound). Entries persist across
-  // rounds only under config.cache_enc_weights, keyed by the ciphertext.
-  WeightTableCache weight_tables_;
-
   bool setup_done_ = false;
   ProtocolTimings timings_;
   std::vector<SiloProtocolView> silo_views_;

@@ -7,7 +7,7 @@
 
 #include "common/check.h"
 #include "core/mask_tags.h"
-#include "math/multi_exp.h"
+#include "math/fixed_base.h"
 #include "obs/trace.h"
 
 namespace uldp {
@@ -118,10 +118,8 @@ Status ServerCore::GenerateKeys(ThreadPool& pool) {
                                                  keygen_rng,
                                                  &params_.public_key,
                                                  &secret_key_, &pool));
-  if (config.fast_paillier) {
-    paillier_ =
-        std::make_unique<PaillierContext>(params_.public_key, secret_key_);
-  }
+  paillier_ =
+      std::make_unique<PaillierContext>(params_.public_key, secret_key_);
   if (config.ot_slots > 0) {
     Rng ot_rng = root_.Fork(0, 0, kRngStreamOtGroup);
     params_.ot_group =
@@ -193,18 +191,6 @@ Status ServerCore::FinalizeSetup() {
   return Status::Ok();
 }
 
-Result<BigInt> ServerCore::PEncrypt(const BigInt& m, Rng& rng) const {
-  return params_.config.fast_paillier
-             ? paillier_->Encrypt(m, rng)
-             : Paillier::Encrypt(params_.public_key, m, rng);
-}
-
-Result<BigInt> ServerCore::PDecrypt(const BigInt& c) const {
-  return params_.config.fast_paillier
-             ? paillier_->Decrypt(c)
-             : Paillier::Decrypt(params_.public_key, secret_key_, c);
-}
-
 Result<std::vector<BigInt>> ServerCore::EncryptWeights(
     uint64_t round, const std::vector<bool>& user_sampled, ThreadPool& pool) {
   obs::TraceSpan span("core.encrypt_weights", "round",
@@ -225,42 +211,23 @@ Result<std::vector<BigInt>> ServerCore::EncryptWeights(
     enc_cache_hits_.Add(1);
     return cached_enc_;
   }
-  std::vector<BigInt> enc_weights(num_users);
-  if (params_.config.fast_paillier) {
-    // Randomizer pipeline: r^n mod n^2 is plaintext-independent, so
-    // EncryptBatch batch-computes one randomizer per user on the pool
-    // (drawing r from the same Fork(round, user) substream, in the same
-    // order, as a direct Encrypt would), then encryption itself is a
-    // single modular multiply per user.
-    std::vector<BigInt> plains(num_users);
-    for (int u = 0; u < num_users; ++u) {
-      if (user_sampled[u]) plains[u] = b_inv_[u];
-    }
-    auto batch = paillier_->EncryptBatch(
-        plains,
-        [&](size_t u) {
-          return root_.Fork(round, static_cast<uint64_t>(u),
-                            kRngStreamEncrypt);
-        },
-        pool);
-    if (!batch.ok()) return batch.status();
-    enc_weights = std::move(batch.value());
-  } else {
-    std::vector<Status> user_status(num_users, Status::Ok());
-    pool.ParallelFor(static_cast<size_t>(num_users), [&](size_t ui) {
-      const int u = static_cast<int>(ui);
-      Rng user_rng = root_.Fork(round, static_cast<uint64_t>(u),
-                                kRngStreamEncrypt);
-      BigInt plain = user_sampled[u] ? b_inv_[u] : BigInt(0);
-      auto c = Paillier::Encrypt(params_.public_key, plain, user_rng);
-      if (!c.ok()) {
-        user_status[u] = c.status();
-        return;
-      }
-      enc_weights[u] = std::move(c.value());
-    });
-    ULDP_RETURN_IF_ERROR(FirstError(user_status));
+  // Randomizer pipeline: r^n mod n^2 is plaintext-independent, so
+  // EncryptBatch batch-computes one randomizer per user on the pool
+  // (drawing r from the same Fork(round, user) substream, in the same
+  // order, as a direct Encrypt would), then encryption itself is a
+  // single modular multiply per user.
+  std::vector<BigInt> plains(num_users);
+  for (int u = 0; u < num_users; ++u) {
+    if (user_sampled[u]) plains[u] = b_inv_[u];
   }
+  auto batch = paillier_->EncryptBatch(
+      plains,
+      [&](size_t u) {
+        return root_.Fork(round, static_cast<uint64_t>(u), kRngStreamEncrypt);
+      },
+      pool);
+  if (!batch.ok()) return batch.status();
+  std::vector<BigInt> enc_weights = std::move(batch.value());
   if (params_.config.cache_enc_weights) {
     cached_enc_ = enc_weights;
     cached_mask_ = user_sampled;
@@ -289,42 +256,23 @@ Result<std::vector<BigInt>> ServerCore::EncryptWeightsRange(
     return Status::InvalidArgument("user range out of bounds");
   }
   const int count = u1 - u0;
-  std::vector<BigInt> enc_weights(count);
-  if (params_.config.fast_paillier) {
-    // Same randomizer pipeline as EncryptWeights, with the Fork substream
-    // addressed by the absolute user index u0 + i: per-user randomness is
-    // independent of how the round is chunked, so concatenated range calls
-    // are bitwise identical to one full-vector call.
-    std::vector<BigInt> plains(count);
-    for (int i = 0; i < count; ++i) {
-      if (user_sampled[u0 + i]) plains[i] = b_inv_[u0 + i];
-    }
-    auto batch = paillier_->EncryptBatch(
-        plains,
-        [&](size_t i) {
-          return root_.Fork(round, static_cast<uint64_t>(u0) + i,
-                            kRngStreamEncrypt);
-        },
-        pool);
-    if (!batch.ok()) return batch.status();
-    enc_weights = std::move(batch.value());
-  } else {
-    std::vector<Status> user_status(count, Status::Ok());
-    pool.ParallelFor(static_cast<size_t>(count), [&](size_t i) {
-      const int u = u0 + static_cast<int>(i);
-      Rng user_rng =
-          root_.Fork(round, static_cast<uint64_t>(u), kRngStreamEncrypt);
-      BigInt plain = user_sampled[u] ? b_inv_[u] : BigInt(0);
-      auto c = Paillier::Encrypt(params_.public_key, plain, user_rng);
-      if (!c.ok()) {
-        user_status[i] = c.status();
-        return;
-      }
-      enc_weights[i] = std::move(c.value());
-    });
-    ULDP_RETURN_IF_ERROR(FirstError(user_status));
+  // Same randomizer pipeline as EncryptWeights, with the Fork substream
+  // addressed by the absolute user index u0 + i: per-user randomness is
+  // independent of how the round is chunked, so concatenated range calls
+  // are bitwise identical to one full-vector call.
+  std::vector<BigInt> plains(count);
+  for (int i = 0; i < count; ++i) {
+    if (user_sampled[u0 + i]) plains[i] = b_inv_[u0 + i];
   }
-  return enc_weights;
+  auto batch = paillier_->EncryptBatch(
+      plains,
+      [&](size_t i) {
+        return root_.Fork(round, static_cast<uint64_t>(u0) + i,
+                          kRngStreamEncrypt);
+      },
+      pool);
+  if (!batch.ok()) return batch.status();
+  return std::move(batch.value());
 }
 
 Result<std::vector<OtSenderPublic>> ServerCore::OtSenderInit(uint64_t round,
@@ -432,7 +380,7 @@ ServerCore::OtEncryptSlots(uint64_t round,
         Rng enc_rng = root_.Fork(round, SlotCounter(u, slot),
                                  kRngStreamOtSlotEnc);
         const bool real = ot_perms_[u][slot] < real_slots;
-        auto c = PEncrypt(real ? b_inv_[u] : BigInt(0), enc_rng);
+        auto c = paillier_->Encrypt(real ? b_inv_[u] : BigInt(0), enc_rng);
         if (!c.ok()) {
           slot_status[i] = c.status();
           return;
@@ -498,7 +446,7 @@ Result<Vec> ServerCore::DecryptAggregate(const std::vector<BigInt>& product,
   Vec out(model_dim, 0.0);
   std::vector<Status> dim_status(cdim, Status::Ok());
   pool.ParallelFor(cdim, [&](size_t g) {
-    auto plain = PDecrypt(product[g]);
+    auto plain = paillier_->Decrypt(product[g]);
     if (!plain.ok()) {
       dim_status[g] = plain.status();
       return;
@@ -528,9 +476,7 @@ SiloCore::SiloCore(ProtocolParams params, int silo_id,
   ULDP_CHECK_GE(silo_id_, 0);
   ULDP_CHECK_LT(silo_id_, params_.num_silos);
   ULDP_CHECK_EQ(histogram_.size(), static_cast<size_t>(params_.num_users));
-  if (params_.config.fast_paillier) {
-    paillier_ = std::make_unique<PaillierContext>(params_.public_key);
-  }
+  paillier_ = std::make_unique<PaillierContext>(params_.public_key);
   dh_group_ = DhGroup::Rfc3526Modp2048();
   // The key pair is a pure function of (seed, silo id): the distributed
   // silo derives exactly the pair the in-process simulation would.
@@ -740,172 +686,147 @@ Result<std::vector<BigInt>> SiloCore::OtReceiverDecrypt(
   return enc_weights;
 }
 
-BigInt SiloCore::PMulPlaintext(const BigInt& c, const BigInt& k) const {
-  return params_.config.fast_paillier
-             ? paillier_->MulPlaintext(c, k)
-             : Paillier::MulPlaintext(params_.public_key, c, k);
-}
-
-void WeightTableCache::BeginRound(int num_users, bool keep) {
-  if (!keep) {
-    tables_.clear();
-    base_.clear();
-  }
-  tables_.resize(num_users);
-  base_.resize(num_users);
-}
-
-const FixedBaseTable* WeightTableCache::Ensure(const PaillierContext& ctx,
-                                               int user,
-                                               const BigInt& enc_weight,
-                                               size_t uses) {
-  if (enc_weight.IsNegative() ||
-      enc_weight >= ctx.public_key().n_squared) {
-    return nullptr;
-  }
-  if (tables_[user] != nullptr && base_[user] == enc_weight) {
-    hits_.Add(1);
-    return tables_[user].get();
-  }
-  tables_[user] = std::make_unique<FixedBaseTable>(
-      ctx.MakeMulPlaintextTable(enc_weight, uses));
-  base_[user] = enc_weight;
-  return tables_[user].get();
-}
-
-void WeightTableCache::DropRange(int u0, int u1) {
-  for (int u = u0; u < u1; ++u) tables_[u].reset();
-}
-
 std::vector<BigInt> SiloCore::NewCipherAccumulator(size_t dim) {
   return std::vector<BigInt>(dim, BigInt(1));
 }
 
-Status SiloCore::AccumulateUsers(
-    int u0, int u1, const std::vector<BigInt>& enc_weights,
-    const std::vector<std::unique_ptr<FixedBaseTable>>* tables,
-    const std::vector<Vec>& deltas, size_t model_dim,
-    std::vector<BigInt>* cipher, ThreadPool& pool) const {
+Result<BigInt> SiloCore::GroupExponent(const Vec& delta, size_t g,
+                                       size_t model_dim) const {
+  const PackedCodec& packed = params_.packed;
+  Result<BigInt> e = BigInt(0);
+  if (packed.active()) {
+    const size_t slots = static_cast<size_t>(packed.slots());
+    const size_t d0 = g * slots;
+    e = packed.EncodeGroup(delta.data() + d0,
+                           std::min(slots, model_dim - d0));
+  } else {
+    e = params_.codec.Encode(delta[g]);
+  }
+  if (!e.ok()) return e;
+  // Both encodings map a signed integer of magnitude below n/2 into
+  // [0, n); centering recovers it, so the exponent is as wide as the
+  // encoding (~35 bits unpacked, k*B packed), not as wide as n, and the
+  // folded plaintext is unchanged mod n.
+  const BigInt& n = params_.public_key.n;
+  if (e.value() > (n >> 1)) return e.value() - n;
+  return e;
+}
+
+Status SiloCore::FoldUsers(const BigInt* enc, int u0, int u1,
+                           const std::vector<Vec>& deltas, size_t model_dim,
+                           std::vector<BigInt>* cipher,
+                           ThreadPool& pool) const {
   obs::TraceSpan span("core.accumulate_users", "u0",
                       static_cast<int64_t>(u0));
   if (!seed_set_) {
     return Status::FailedPrecondition("weighting requires the shared seed");
   }
-  const int num_users = params_.num_users;
-  if (static_cast<int>(enc_weights.size()) != num_users) {
-    return Status::InvalidArgument("encrypted weight count mismatch");
-  }
-  if (static_cast<int>(deltas.size()) != num_users) {
+  if (static_cast<int>(deltas.size()) != params_.num_users) {
     return Status::InvalidArgument("delta matrix size mismatch");
   }
-  if (u0 < 0 || u1 > num_users || u0 > u1) {
-    return Status::InvalidArgument("user batch out of range");
-  }
-  const PackedCodec& packed = params_.packed;
   const size_t cdim = cipher->size();
-  if (cdim != packed.PackedDim(model_dim)) {
+  if (cdim != params_.packed.PackedDim(model_dim)) {
     return Status::InvalidArgument("cipher accumulator dimension mismatch");
   }
-  const size_t slots = static_cast<size_t>(packed.slots());
-  const BigInt& n = params_.public_key.n;
   const PaillierPublicKey& pk = params_.public_key;
+  const BigInt& n = pk.n;
   const BigInt c_lcm_mod_n = params_.c_lcm.Mod(n);
 
-  // Per-user prep: validation plus the scalar base n_su * r_u * C_LCM
-  // mod n (the delta encoding is per coordinate below).
-  std::vector<Status> prep_status(u1 - u0, Status::Ok());
-  std::vector<BigInt> bases(u1 - u0);
-  std::vector<char> active(u1 - u0, 0);
-  pool.ParallelFor(static_cast<size_t>(u1 - u0), [&](size_t i) {
+  // Per user: validation, the widest exponent among the user's coordinate
+  // groups, then the fold's one full-width exponentiation
+  // E'_u = Enc(B_inv)^(r_u * n_su * C_LCM mod n) and a fixed-base table
+  // over E'_u sized for exactly those exponents, so Exp's range check can
+  // never trip. Users contributing nothing keep a null table.
+  const size_t count = static_cast<size_t>(u1 - u0);
+  std::vector<std::unique_ptr<FixedBaseTable>> tables(count);
+  std::vector<Status> user_status(count, Status::Ok());
+  pool.ParallelFor(count, [&](size_t i) {
     const int u = u0 + static_cast<int>(i);
     if (deltas[u].empty()) return;  // user has no records at this silo
     if (deltas[u].size() != model_dim) {
-      prep_status[i] = Status::InvalidArgument("delta dimension mismatch");
+      user_status[i] = Status::InvalidArgument("delta dimension mismatch");
       return;
     }
-    if (enc_weights[u].IsNegative() || enc_weights[u] >= pk.n_squared) {
-      prep_status[i] =
+    if (enc[i].IsNegative() || enc[i] >= pk.n_squared) {
+      user_status[i] =
           Status::InvalidArgument("encrypted weight outside Z_{n^2}");
       return;
     }
     if (histogram_[u] == 0) return;
-    active[i] = 1;
-    bases[i] = BlindOf(u)
-                   .ModMul(BigInt(static_cast<int64_t>(histogram_[u])), n)
-                   .ModMul(c_lcm_mod_n, n);
+    int max_bits = 0;
+    size_t uses = 0;
+    for (size_t g = 0; g < cdim; ++g) {
+      auto e = GroupExponent(deltas[u], g, model_dim);
+      if (!e.ok()) {
+        user_status[i] = e.status();
+        return;
+      }
+      if (e.value().IsZero()) continue;
+      max_bits = std::max(max_bits, e.value().BitLength());
+      ++uses;
+    }
+    if (uses == 0) return;  // zero exponents contribute nothing
+    const BigInt scalar =
+        BlindOf(u)
+            .ModMul(BigInt(static_cast<int64_t>(histogram_[u])), n)
+            .ModMul(c_lcm_mod_n, n);
+    tables[i] = std::make_unique<FixedBaseTable>(
+        paillier_->mont_n_squared(), paillier_->MulPlaintext(enc[i], scalar),
+        max_bits, uses);
   });
-  ULDP_RETURN_IF_ERROR(FirstError(prep_status));
+  ULDP_RETURN_IF_ERROR(FirstError(user_status));
 
-  // Packed or not, the per-user exponent for coordinate group g is the
-  // group's (packed) delta encoding times the user's scalar base — the
-  // aggregation stays a mod-n linear form, so slot digits add exactly like
-  // unpacked coordinates.
-  auto group_exponent = [&](int u, size_t g, Result<BigInt>* out) {
-    if (packed.active()) {
-      const size_t d0 = g * slots;
-      *out = packed.EncodeGroup(deltas[u].data() + d0,
-                                std::min(slots, model_dim - d0));
-    } else {
-      *out = params_.codec.Encode(deltas[u][g]);
-    }
-  };
-
-  // Pippenger path: the whole batch's Enc(B_inv) bases convert into the
-  // Montgomery domain once, then every coordinate group folds through one
-  // shared-squaring multi-exponentiation.
-  std::unique_ptr<MultiExp> multi;
-  std::vector<int> multi_users;
-  if (params_.config.multi_exp && params_.config.fast_paillier) {
-    std::vector<BigInt> multi_bases;
-    for (int u = u0; u < u1; ++u) {
-      if (!active[u - u0]) continue;
-      multi_users.push_back(u);
-      multi_bases.push_back(enc_weights[u]);
-    }
-    if (!multi_bases.empty()) {
-      multi = std::make_unique<MultiExp>(paillier_->mont_n_squared(),
-                                         multi_bases);
-    }
-  }
-
+  // Per coordinate group: E'_u^|e| for every active user. Positive terms
+  // go straight into the accumulator; negative ones collect in neg[g].
+  std::vector<BigInt> neg(cdim, BigInt(1));
   std::vector<Status> dim_status(cdim, Status::Ok());
   pool.ParallelFor(cdim, [&](size_t g) {
-    if (multi != nullptr) {
-      std::vector<BigInt> exps(multi_users.size(), BigInt(0));
-      for (size_t i = 0; i < multi_users.size(); ++i) {
-        const int u = multi_users[i];
-        Result<BigInt> e = BigInt(0);
-        group_exponent(u, g, &e);
-        if (!e.ok()) {
-          dim_status[g] = e.status();
-          return;
-        }
-        if (e.value().IsZero()) continue;  // zero exponents are free
-        exps[i] = e.value().ModMul(bases[u - u0], n);
-      }
-      (*cipher)[g] =
-          Paillier::AddCiphertexts(pk, (*cipher)[g], multi->Product(exps));
-      return;
-    }
-    for (int u = u0; u < u1; ++u) {
-      if (!active[u - u0]) continue;
-      Result<BigInt> e = BigInt(0);
-      group_exponent(u, g, &e);
+    for (size_t i = 0; i < count; ++i) {
+      if (tables[i] == nullptr) continue;
+      auto e = GroupExponent(deltas[u0 + i], g, model_dim);
       if (!e.ok()) {
         dim_status[g] = e.status();
         return;
       }
       if (e.value().IsZero()) continue;
-      BigInt scalar = e.value().ModMul(bases[u - u0], n);
-      const FixedBaseTable* table =
-          tables != nullptr ? (*tables)[u].get() : nullptr;
-      BigInt term = table != nullptr
-                        ? paillier_->MulPlaintextWithTable(*table, scalar)
-                        : PMulPlaintext(enc_weights[u], scalar);
-      (*cipher)[g] = Paillier::AddCiphertexts(pk, (*cipher)[g], term);
+      const BigInt magnitude = e.value().Abs();
+      const BigInt term = tables[i]->Exp(magnitude);
+      BigInt& acc = e.value().IsNegative() ? neg[g] : (*cipher)[g];
+      acc = Paillier::AddCiphertexts(pk, acc, term);
     }
   });
-  return FirstError(dim_status);
+  ULDP_RETURN_IF_ERROR(FirstError(dim_status));
+
+  // Divide the negative products out with one ModInverse for the whole
+  // call (Montgomery's trick): invert the running product of every
+  // neg[g] != 1, then peel each coordinate's inverse off it backwards.
+  const BigInt& n2 = pk.n_squared;
+  std::vector<size_t> negative;
+  for (size_t g = 0; g < cdim; ++g) {
+    if (neg[g] != BigInt(1)) negative.push_back(g);
+  }
+  if (negative.empty()) return Status::Ok();
+  std::vector<BigInt> prefix(negative.size());
+  BigInt running(1);
+  for (size_t k = 0; k < negative.size(); ++k) {
+    running = running.ModMul(neg[negative[k]], n2);
+    prefix[k] = running;
+  }
+  auto inverse = running.ModInverse(n2);
+  if (!inverse.ok()) {
+    return Status::InvalidArgument(
+        "silo fold: an encrypted weight raised to a negative exponent is "
+        "not a unit mod n^2");
+  }
+  BigInt inv_running = std::move(inverse.value());  // 1 / prefix[k]
+  for (size_t k = negative.size(); k-- > 0;) {
+    const size_t g = negative[k];
+    const BigInt inv_g =
+        k > 0 ? inv_running.ModMul(prefix[k - 1], n2) : inv_running;
+    inv_running = inv_running.ModMul(neg[g], n2);
+    (*cipher)[g] = Paillier::AddCiphertexts(pk, (*cipher)[g], inv_g);
+  }
+  return Status::Ok();
 }
 
 Status SiloCore::AccumulateUsersChunk(const std::vector<BigInt>& enc_chunk,
@@ -913,41 +834,47 @@ Status SiloCore::AccumulateUsersChunk(const std::vector<BigInt>& enc_chunk,
                                       const std::vector<Vec>& deltas,
                                       size_t model_dim,
                                       std::vector<BigInt>* cipher,
-                                      ThreadPool& pool) {
+                                      ThreadPool& pool) const {
   obs::TraceSpan span("core.accumulate_users_chunk", "u0",
                       static_cast<int64_t>(u0));
-  const int num_users = params_.num_users;
-  if (u0 < 0 || u1 > num_users || u0 > u1) {
+  if (u0 < 0 || u1 > params_.num_users || u0 > u1) {
     return Status::InvalidArgument("user chunk out of range");
   }
   if (enc_chunk.size() != static_cast<size_t>(u1 - u0)) {
     return Status::InvalidArgument("encrypted weight chunk size mismatch");
   }
-  if (static_cast<int>(enc_scratch_.size()) != num_users) {
-    enc_scratch_.assign(static_cast<size_t>(num_users), BigInt());
+  // Index-ordered user batches bound the per-user tables alive at once;
+  // the accumulator is an exact product, so batching never changes it.
+  constexpr int kUserBatch = 128;
+  for (int b0 = u0; b0 < u1; b0 += kUserBatch) {
+    const int b1 = std::min(u1, b0 + kUserBatch);
+    ULDP_RETURN_IF_ERROR(FoldUsers(enc_chunk.data() + (b0 - u0), b0, b1,
+                                   deltas, model_dim, cipher, pool));
   }
-  for (int u = u0; u < u1; ++u) enc_scratch_[u] = enc_chunk[u - u0];
-  const ProtocolConfig& config = params_.config;
-  const bool use_multi_exp = config.multi_exp && config.fast_paillier;
-  const bool use_tables =
-      config.fast_paillier && config.fixed_base && !use_multi_exp;
-  const size_t cdim = cipher->size();
-  // keep = false: streaming excludes cache_enc_weights, so tables never
-  // outlive the chunk that built them.
-  table_cache_.BeginRound(num_users, /*keep=*/false);
-  if (use_tables) {
-    pool.ParallelFor(static_cast<size_t>(u1 - u0), [&](size_t i) {
-      const int u = u0 + static_cast<int>(i);
-      if (deltas[u].empty() || histogram_[u] == 0) return;
-      table_cache_.Ensure(*paillier_, u, enc_scratch_[u], cdim);
-    });
-  }
-  Status status = AccumulateUsers(
-      u0, u1, enc_scratch_, use_tables ? &table_cache_.tables() : nullptr,
-      deltas, model_dim, cipher, pool);
-  if (use_tables) table_cache_.DropRange(u0, u1);
-  for (int u = u0; u < u1; ++u) enc_scratch_[u] = BigInt();
-  return status;
+  return Status::Ok();
+}
+
+Result<std::vector<BigInt>> SiloCore::EncryptZeros(uint64_t round,
+                                                   size_t cdim,
+                                                   ThreadPool& pool) const {
+  obs::TraceSpan span("core.rerandomize", "round",
+                      static_cast<int64_t>(round));
+  std::vector<BigInt> zeros(cdim);
+  std::vector<Status> dim_status(cdim, Status::Ok());
+  pool.ParallelFor(cdim, [&](size_t g) {
+    // (silo, coordinate) packs into one counter the way (user, slot) does.
+    Rng rng = root_.Fork(round,
+                         SlotCounter(static_cast<size_t>(silo_id_), g),
+                         kRngStreamRerandomize);
+    auto zero = paillier_->Encrypt(BigInt(0), rng);
+    if (!zero.ok()) {
+      dim_status[g] = zero.status();
+      return;
+    }
+    zeros[g] = std::move(zero.value());
+  });
+  ULDP_RETURN_IF_ERROR(FirstError(dim_status));
+  return zeros;
 }
 
 Status SiloCore::FinishRound(uint64_t round, const Vec& noise,
@@ -974,13 +901,21 @@ Status SiloCore::FinishRound(uint64_t round, const Vec& noise,
   // stay within the same PRF tag space.
   const uint64_t weighting_tag =
       MakeMaskTag(MaskPhase::kRoundWeighting, round);
-  // Pipelined runs precompute the round's combined masks while waiting on
-  // the previous aggregate (PrecomputeRoundMasks); the cached values are
-  // the identical PRF evaluations, so both branches are bitwise equal.
+  // Pipelined runs precompute the round's combined masks and Enc(0)s
+  // while waiting on the previous aggregate (PrecomputeRoundMasks); the
+  // cached values are the identical PRF evaluations and Fork substreams,
+  // so both branches are bitwise equal.
   const std::vector<BigInt>* pre =
       premask_valid_ && premask_round_ == round && premask_.size() == cdim
           ? &premask_
           : nullptr;
+  std::vector<BigInt> inline_zeros;
+  if (pre == nullptr) {
+    auto zeros = EncryptZeros(round, cdim, pool);
+    if (!zeros.ok()) return zeros.status();
+    inline_zeros = std::move(zeros.value());
+  }
+  const std::vector<BigInt>& zeros = pre != nullptr ? prezero_ : inline_zeros;
   std::vector<Status> dim_status(cdim, Status::Ok());
   pool.ParallelFor(cdim, [&](size_t g) {
     Result<BigInt> z = BigInt(0);
@@ -1009,6 +944,10 @@ Status SiloCore::FinishRound(uint64_t round, const Vec& noise,
       }
     }
     (*cipher)[g] = Paillier::AddPlaintext(pk, (*cipher)[g], mask);
+    // Re-randomize: the short-exponent fold leaves each output's
+    // randomness a short power of the users' folded weights, which the
+    // server (holding lambda) could extract and relate.
+    (*cipher)[g] = Paillier::AddCiphertexts(pk, (*cipher)[g], zeros[g]);
   });
   return FirstError(dim_status);
 }
@@ -1038,55 +977,12 @@ Status SiloCore::PrecomputeRoundMasks(uint64_t round, size_t dim,
     }
     premask_[d] = mask;
   });
+  auto zeros = EncryptZeros(round, dim, pool);
+  if (!zeros.ok()) return zeros.status();
+  prezero_ = std::move(zeros.value());
   premask_round_ = round;
   premask_valid_ = true;
   return Status::Ok();
-}
-
-Result<std::vector<BigInt>> SiloCore::WeightMaskRound(
-    uint64_t round, const std::vector<BigInt>& enc_weights,
-    const std::vector<Vec>& deltas, const Vec& noise, ThreadPool& pool) {
-  if (!pair_keys_done_ || !seed_set_) {
-    return Status::FailedPrecondition(
-        "weighting requires pair keys and the shared seed");
-  }
-  const int num_users = params_.num_users;
-  const ProtocolConfig& config = params_.config;
-  const size_t dim = noise.size();
-  const size_t cdim = params_.packed.PackedDim(dim);
-
-  // Pippenger multi-exponentiation amortizes one shared squaring chain
-  // across the whole user batch, superseding per-user fixed-base tables.
-  const bool use_multi_exp = config.multi_exp && config.fast_paillier;
-  const bool use_tables =
-      config.fast_paillier && config.fixed_base && !use_multi_exp;
-  const bool keep_tables = use_tables && config.cache_enc_weights;
-  table_cache_.BeginRound(num_users, keep_tables);
-
-  // Users are swept in index-ordered batches: each batch builds its
-  // fixed-base tables in parallel, the per-coordinate sweep consumes
-  // them, and (unless the cache keeps them) the batch's tables are freed.
-  // This bounds transient table memory at ~batch * 2 MB worst case
-  // instead of O(num_users); the round output is an exact modular
-  // product, so batching never changes a bit.
-  const int user_batch = use_tables || use_multi_exp ? 128 : num_users;
-  std::vector<BigInt> cipher = NewCipherAccumulator(cdim);
-  for (int u0 = 0; u0 < num_users; u0 += user_batch) {
-    const int u1 = std::min(num_users, u0 + user_batch);
-    if (use_tables) {
-      pool.ParallelFor(static_cast<size_t>(u1 - u0), [&](size_t i) {
-        const int u = u0 + static_cast<int>(i);
-        if (deltas[u].empty() || histogram_[u] == 0) return;
-        table_cache_.Ensure(*paillier_, u, enc_weights[u], cdim);
-      });
-    }
-    ULDP_RETURN_IF_ERROR(AccumulateUsers(
-        u0, u1, enc_weights, use_tables ? &table_cache_.tables() : nullptr,
-        deltas, dim, &cipher, pool));
-    if (use_tables && !keep_tables) table_cache_.DropRange(u0, u1);
-  }
-  ULDP_RETURN_IF_ERROR(FinishRound(round, noise, &cipher, pool));
-  return cipher;
 }
 
 }  // namespace uldp

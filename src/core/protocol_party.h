@@ -37,7 +37,6 @@
 #include "crypto/oblivious_transfer.h"
 #include "crypto/paillier.h"
 #include "crypto/paillier_ctx.h"
-#include "math/fixed_base.h"
 #include "nn/tensor.h"
 #include "obs/metrics.h"
 
@@ -77,34 +76,19 @@ struct ProtocolConfig {
   /// all encryption randomness comes from Rng::Fork substreams and every
   /// reduction is an exact modular product.
   int num_threads = 0;
-  /// Route Paillier work through the cached-context fast path (long-lived
-  /// Montgomery contexts, CRT decryption, batched randomizer pipeline).
-  /// The slow path (static Paillier shim, classic decryption) produces
-  /// bitwise-identical round outputs; the switch exists so the micro bench
-  /// can measure the speedup of a full protocol round before/after.
-  bool fast_paillier = true;
-  /// Use per-user fixed-base exponentiation tables in the silo-weighting
-  /// loop: all `dim` MulPlaintext calls for one user share the base
-  /// Enc(B_inv(N_u)), so one precomputed window table per user turns each
-  /// coordinate's exponentiation into squaring-free table multiplies
-  /// (math/fixed_base.h). Effective only with fast_paillier; outputs are
-  /// bitwise identical either way — the switch exists so the micro bench
-  /// can measure the weighting phase before/after.
-  bool fixed_base = true;
-  /// Reuse the previous round's encrypted weights (and with fixed_base the
-  /// per-user MulPlaintext tables derived from them) when OT is off and the
+  /// Reuse the previous round's encrypted weights when OT is off and the
   /// sampling mask is unchanged. Ciphertexts are semantically secure, so
   /// resending one is safe against the silos; the trade is that the server
-  /// skips re-randomization and each silo retains one table per user
-  /// across rounds (up to ~2 MB per user at a 1024-bit key). Off by
-  /// default: enabling it changes which randomizers a round consumes, so
-  /// cached and uncached runs produce different (equally valid) outputs.
+  /// skips re-randomization. Off by default: enabling it changes which
+  /// randomizers a round consumes, so cached and uncached runs produce
+  /// different (equally valid) outputs.
   bool cache_enc_weights = false;
   /// Multi-round pipelining (party-local, like num_threads — peers need
   /// not agree and the message flow is unchanged). Server: precompute
   /// round r+1's encrypted weights on a background thread while round r's
   /// silo ciphers are in flight. Silo: precompute round r+1's pairwise
-  /// masks while waiting for round r's result. Every precomputed value
+  /// masks and re-randomizing Enc(0)s from its round-r upload until its
+  /// round-r+1 fold is done. Every precomputed value
   /// comes from the same Fork substreams and PRF evaluations the inline
   /// path would use, so outputs are bitwise identical with the knob on or
   /// off (tested). Ignored in OT mode (the OT round is an interactive
@@ -124,14 +108,6 @@ struct ProtocolConfig {
   /// encode time. Ignored when pack_slots == 1 (the unpacked path keeps
   /// the original n/2 headroom of Theorem 4).
   double pack_clip = 64.0;
-  /// Fold the weighting phase through Pippenger bucket multi-
-  /// exponentiation (math/multi_exp.h): per coordinate group, all active
-  /// users' Enc(B_inv)^scalar terms share one squaring chain instead of
-  /// one sliding-window exponentiation each. Party-local like
-  /// fast_paillier (peers need not agree); outputs are bitwise identical
-  /// either way. Effective only with fast_paillier; supersedes the
-  /// per-user fixed-base tables when set.
-  bool multi_exp = false;
   /// > 0 enables memory-bounded streaming rounds: the server encrypts and
   /// ships Enc(B_inv) in chunks of this many users, each silo folds a
   /// chunk into its running cipher accumulator and discards it before the
@@ -282,9 +258,6 @@ class ServerCore {
                                ThreadPool& pool, size_t model_dim = 0) const;
 
  private:
-  Result<BigInt> PEncrypt(const BigInt& m, Rng& rng) const;
-  Result<BigInt> PDecrypt(const BigInt& c) const;
-
   ProtocolParams params_;
   PaillierSecretKey secret_key_;
   std::unique_ptr<PaillierContext> paillier_;
@@ -308,38 +281,6 @@ class ServerCore {
   bool ot_pending_ = false;
   std::vector<ObliviousTransfer::SenderState> ot_senders_;
   std::vector<std::vector<int>> ot_perms_;
-};
-
-/// Ciphertext-keyed cache of per-user fixed-base MulPlaintext tables for
-/// the silo-weighting loop. One instance is shared by the in-process
-/// orchestrator across all silo cores; each distributed silo endpoint
-/// owns its own. Entries persist across rounds only when BeginRound runs
-/// with keep = true (config.cache_enc_weights): the key is the ciphertext
-/// itself, so fresh round randomness or a changed sampling mask
-/// invalidates an entry automatically.
-class WeightTableCache {
- public:
-  /// Sizes the cache for the round; keep = false drops every old entry.
-  void BeginRound(int num_users, bool keep);
-  /// Returns the table for (user, enc_weight), building it over `ctx`'s
-  /// cached n² context when missing or stale and counting a hit
-  /// otherwise. Returns null (caching nothing) when enc_weight is outside
-  /// Z_{n²} — the weighting sweep rejects such inputs with a proper
-  /// Status. Safe to call concurrently for distinct users.
-  const FixedBaseTable* Ensure(const PaillierContext& ctx, int user,
-                               const BigInt& enc_weight, size_t uses);
-  /// Frees the tables of users [u0, u1) — the batch-bounded transient
-  /// memory discipline of the weighting sweep.
-  void DropRange(int u0, int u1);
-  const std::vector<std::unique_ptr<FixedBaseTable>>& tables() const {
-    return tables_;
-  }
-  uint64_t hits() const { return hits_.value(); }
-
- private:
-  std::vector<BigInt> base_;
-  std::vector<std::unique_ptr<FixedBaseTable>> tables_;
-  obs::Counter hits_{"core.weight_table_cache_hits"};
 };
 
 /// Silo-side phase logic. Owns the silo's private histogram, its DH key
@@ -391,81 +332,73 @@ class SiloCore {
   /// Slot choices of the last OT round — simulation diagnostic.
   const std::vector<size_t>& ot_sigmas() const { return ot_sigmas_; }
 
-  /// Weighting (b) + (c) for this silo: the encrypted weighted sum over
-  /// its users, the encoded noise, and the pairwise additive masks.
-  /// `deltas[u]` is empty when user u has no records here; non-empty
-  /// entries must all have noise.size() coordinates. This is the
-  /// self-contained entry point a distributed silo endpoint uses; it is
-  /// composed from the batch-level pieces below, which the in-process
-  /// orchestrator drives directly so one fixed-base table per user can be
-  /// shared read-only across all silo cores.
-  Result<std::vector<BigInt>> WeightMaskRound(
-      uint64_t round, const std::vector<BigInt>& enc_weights,
-      const std::vector<Vec>& deltas, const Vec& noise, ThreadPool& pool);
-
   /// Fresh per-coordinate accumulator for phase (b): one ciphertext
   /// identity per shipped coordinate — PackedDim(model dim) of them when
   /// packing is active.
   static std::vector<BigInt> NewCipherAccumulator(size_t dim);
 
-  /// This silo's evaluation-only Paillier context (null unless
-  /// fast_paillier). Tables built over it are a pure function of the
-  /// ciphertext and modulus, so any party's build is bitwise identical
-  /// and safe to share read-only — the orchestrator feeds it to a shared
-  /// WeightTableCache.
-  const PaillierContext* eval_context() const { return paillier_.get(); }
-
-  /// Phase (b) for users [u0, u1): accumulates this silo's encrypted
-  /// weighted terms into `cipher` (from NewCipherAccumulator, size =
-  /// PackedDim(model_dim); model_dim is the unpacked coordinate count,
-  /// i.e. the noise dimension). `tables`, when non-null, maps user →
-  /// fixed-base table for enc_weights[u] (null entries fall back to plain
-  /// MulPlaintext); with config.multi_exp the per-group fold runs through
-  /// Pippenger instead. Parallelizes over coordinates on `pool`; the
-  /// result is an exact modular product, so batching, scheduling, packing,
-  /// and the multi-exp path never change a bit.
-  Status AccumulateUsers(
-      int u0, int u1, const std::vector<BigInt>& enc_weights,
-      const std::vector<std::unique_ptr<FixedBaseTable>>* tables,
-      const std::vector<Vec>& deltas, size_t model_dim,
-      std::vector<BigInt>* cipher, ThreadPool& pool) const;
-
-  /// Streaming phase (b): folds users [u0, u1) given only that chunk of
-  /// ciphertexts (enc_chunk[i] = Enc(B_inv) for user u0 + i), building and
-  /// dropping this silo's own fixed-base tables for the chunk. The caller
-  /// discards enc_chunk afterwards, so peak resident ciphertexts stay at
-  /// O(chunk) instead of O(users); concatenated chunk folds reproduce
-  /// WeightMaskRound's accumulator bit for bit (exact modular products).
-  /// Finish with FinishRound as usual.
+  /// Weighting (b) for users [u0, u1) given that range's ciphertexts
+  /// (enc_chunk[i] = Enc(B_inv) for user u0 + i; one chunk may hold every
+  /// user): multiplies this silo's encrypted weighted terms into `cipher`
+  /// (from NewCipherAccumulator, size = PackedDim(model_dim); model_dim is
+  /// the unpacked coordinate count, i.e. the noise dimension).
+  /// `deltas[u]` is empty when user u has no records here. The
+  /// short-exponent fold raises each active user's Enc(B_inv) once to
+  /// r_u * n_su * C_LCM mod n, then that per-user base to the centered
+  /// signed Encode(delta) of every coordinate group through a fixed-base
+  /// table sized for the user's actual exponents; negative terms are
+  /// inverted with one batched ModInverse per batch of up to 128 users. A
+  /// streaming caller discards enc_chunk afterwards, so peak resident
+  /// ciphertexts stay at O(chunk) instead of O(users). The accumulator is
+  /// an exact product in Z*_{n^2}, so any chunking, scheduling or packing
+  /// yields the same ciphertexts. An encrypted weight that is not a unit
+  /// mod n^2 and meets a negative exponent is an InvalidArgument. Finish
+  /// with FinishRound.
   Status AccumulateUsersChunk(const std::vector<BigInt>& enc_chunk, int u0,
                               int u1, const std::vector<Vec>& deltas,
                               size_t model_dim, std::vector<BigInt>* cipher,
-                              ThreadPool& pool);
+                              ThreadPool& pool) const;
 
   /// Phase (b) tail + (c): adds the encoded noise (packed into groups when
-  /// packing is active), then this silo's pairwise additive masks for the
-  /// round — one mask per shipped coordinate.
+  /// packing is active) and this silo's pairwise additive masks for the
+  /// round — one mask per shipped coordinate — then multiplies every
+  /// coordinate by a fresh Enc(0) from a Fork(round, silo/coordinate)
+  /// substream. The server holds the Paillier secret key and so can read
+  /// each output's randomness; without the Enc(0) that randomness would be
+  /// a short power of each user's folded weight (docs/privacy.md). The
+  /// protection holds only against a party that lacks config.seed: the
+  /// Enc(0)s, like every silo secret, derive from the shared seed until
+  /// per-party secrets land (ROADMAP.md), so a server that knows the seed
+  /// can regenerate and divide them out.
   Status FinishRound(uint64_t round, const Vec& noise,
                      std::vector<BigInt>* cipher, ThreadPool& pool) const;
 
   /// Pipelining hook: precomputes the combined per-coordinate pairwise
-  /// mask vector for `round` so a waiting silo can overlap next-round
-  /// mask generation with the server's current-round aggregation. `dim`
-  /// is the model (unpacked) dimension; the packed mask count is derived
-  /// internally. FinishRound(round, ...) consumes the cache when it
-  /// matches (same round and dimension) and recomputes inline otherwise;
-  /// the cached values are the identical PRF evaluations, so outputs
-  /// never change.
+  /// mask vector and the re-randomizing Enc(0)s for `round` so a waiting
+  /// silo can overlap next-round work with the server's current-round
+  /// aggregation. `dim` is the model (unpacked) dimension; the packed
+  /// coordinate count is derived internally. FinishRound(round, ...)
+  /// consumes the cache when it matches (same round and dimension) and
+  /// recomputes inline otherwise; the cached values are the identical PRF
+  /// evaluations and Fork substreams, so outputs never change.
   Status PrecomputeRoundMasks(uint64_t round, size_t dim, ThreadPool& pool);
-
-  /// Fixed-base tables reused from a previous round because the encrypted
-  /// weight was unchanged (config.cache_enc_weights).
-  uint64_t weight_table_cache_hits() const { return table_cache_.hits(); }
 
  private:
   BigInt BlindOf(int user) const;
   BigInt PairMask(int peer, uint64_t tag, int index) const;
-  BigInt PMulPlaintext(const BigInt& c, const BigInt& k) const;
+  /// The fold exponent of coordinate group g of `delta`: Encode(delta[g])
+  /// (or the packed group encoding) centered into (-n/2, n/2].
+  Result<BigInt> GroupExponent(const Vec& delta, size_t g,
+                               size_t model_dim) const;
+  /// Folds one batch of users [u0, u1) with enc[i] = Enc(B_inv) of user
+  /// u0 + i.
+  Status FoldUsers(const BigInt* enc, int u0, int u1,
+                   const std::vector<Vec>& deltas, size_t model_dim,
+                   std::vector<BigInt>* cipher, ThreadPool& pool) const;
+  /// The re-randomizing Enc(0) of each of `cdim` output coordinates of
+  /// `round`.
+  Result<std::vector<BigInt>> EncryptZeros(uint64_t round, size_t cdim,
+                                           ThreadPool& pool) const;
 
   ProtocolParams params_;
   int silo_id_ = 0;
@@ -485,20 +418,11 @@ class SiloCore {
   std::vector<BigInt> ot_ks_;
   std::vector<size_t> ot_sigmas_;
 
-  // Per-user fixed-base tables for WeightMaskRound (the distributed
-  // endpoint path; the in-process orchestrator shares one cache across
-  // silo cores instead).
-  WeightTableCache table_cache_;
-
-  // AccumulateUsersChunk scratch: a full-size vector of (mostly empty)
-  // BigInts so the chunk can be addressed by absolute user index through
-  // AccumulateUsers. Holds at most one chunk's ciphertexts at a time.
-  std::vector<BigInt> enc_scratch_;
-
   // PrecomputeRoundMasks cache, consumed by FinishRound. Written by the
   // owner's prefetch step and read after it joins the prefetch thread, so
   // no lock is needed (join is the happens-before edge).
   std::vector<BigInt> premask_;
+  std::vector<BigInt> prezero_;  // re-randomizing Enc(0) per coordinate
   uint64_t premask_round_ = 0;
   bool premask_valid_ = false;
 };

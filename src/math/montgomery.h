@@ -40,10 +40,8 @@ class Montgomery {
 
  private:
   // FixedBaseTable builds per-base power tables directly in the Montgomery
-  // domain (math/fixed_base.h), and MultiExp runs its bucket accumulation
-  // there (math/multi_exp.h), so both share the private limb-level ops.
+  // domain (math/fixed_base.h), sharing the private limb-level ops.
   friend class FixedBaseTable;
-  friend class MultiExp;
 
   // All internal vectors have exactly k_ limbs (little endian).
   using Limbs = std::vector<uint64_t>;

@@ -31,8 +31,6 @@ uint64_t ProtocolWireDigest(const ProtocolConfig& config, int num_silos,
   w.U8(config.cache_enc_weights ? 1 : 0);
   // Packing is part of the wire contract: every silo and the server must
   // agree on the slot layout or packed aggregates decode as garbage.
-  // fast_paillier / fixed_base / multi_exp stay out — they are party-local
-  // evaluation strategies with bitwise-identical outputs.
   w.U32(static_cast<uint32_t>(config.pack_slots));
   w.F64(config.pack_clip);
   w.U32(static_cast<uint32_t>(num_silos));

@@ -730,13 +730,14 @@ Status SiloClient::HandleStreamedRound(Transport& transport,
     if (!ack.ok()) return ack.status();
     ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(ack.value())));
   }
+  if (premask->joinable()) premask->join();  // see RunLoop
   ULDP_RETURN_IF_ERROR(core_->FinishRound(round, noise, &cipher, *pool_));
   ULDP_RETURN_IF_ERROR(
       UploadCipherStream(transport, round, dim, std::move(cipher)));
 
   if (config_.pipeline && round + 1 < kMaskTagRoundLimit) {
     *premask = std::thread([this, round, dim] {
-      core_->PrecomputeRoundMasks(round + 1, dim, premask_pool_).ok();
+      core_->PrecomputeRoundMasks(round + 1, dim, *pool_).ok();
     });
   }
 
@@ -866,15 +867,16 @@ Status SiloClient::RunLoop(Transport& transport, const RoundInput& input,
   }
 
   // -- Round loop ----------------------------------------------------------
-  // Pipelining: while the server aggregates and decrypts round r, this
-  // silo precomputes its round-r+1 pairwise masks on a side thread (same
-  // PRF evaluations FinishRound would run inline — bitwise identical).
-  // The joiner below is the happens-before edge before the masks are read.
+  // Pipelining: from its round-r upload on, this silo precomputes its
+  // round-r+1 pairwise masks and Enc(0)s on a side thread (the same PRF
+  // evaluations and Fork substreams FinishRound would use inline —
+  // bitwise identical), overlapping the server's aggregation and this
+  // silo's next fold, which reads none of that state. Joining right
+  // before FinishRound is the happens-before edge before it is read.
   ThreadJoiner premask;
   for (;;) {
     frame = transport.Recv();
     if (!frame.ok()) return frame.status();
-    premask.Join();
     const uint16_t type = frame.value().type;
     if (type == static_cast<uint16_t>(MessageType::kShutdown)) {
       return Status::Ok();
@@ -962,21 +964,25 @@ Status SiloClient::RunLoop(Transport& transport, const RoundInput& input,
     std::vector<Vec> deltas;
     Vec noise;
     ULDP_RETURN_IF_ERROR(input(round, &deltas, &noise));
-    auto cipher = core_->WeightMaskRound(round, enc_weights, deltas, noise,
-                                         *pool_);
-    if (!cipher.ok()) return cipher.status();
+    std::vector<BigInt> cipher =
+        SiloCore::NewCipherAccumulator(core_->params().packed.PackedDim(
+            noise.size()));
+    ULDP_RETURN_IF_ERROR(core_->AccumulateUsersChunk(
+        enc_weights, 0, num_users_, deltas, noise.size(), &cipher, *pool_));
+    premask.Join();  // see above
+    ULDP_RETURN_IF_ERROR(core_->FinishRound(round, noise, &cipher, *pool_));
     if (StreamChunkUsers(config_) > 0) {
       // Streaming with OT: the weight distribution is the OT dance
       // (materialized by construction), but the cipher upload is still
       // chunked so no frame approaches the transport cap.
-      ULDP_RETURN_IF_ERROR(UploadCipherStream(
-          transport, round, noise.size(), std::move(cipher.value())));
+      ULDP_RETURN_IF_ERROR(UploadCipherStream(transport, round, noise.size(),
+                                              std::move(cipher)));
     } else {
       SiloCipherMsg cipher_msg;
       cipher_msg.phase_tag = MakeMaskTag(MaskPhase::kRoundWeighting, round);
       cipher_msg.silo_id = static_cast<uint32_t>(silo_id_);
       cipher_msg.dim = static_cast<uint32_t>(noise.size());
-      cipher_msg.cipher = std::move(cipher.value());
+      cipher_msg.cipher = std::move(cipher);
       ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(cipher_msg)));
     }
     if (config_.pipeline && config_.ot_slots <= 0 &&
@@ -985,7 +991,7 @@ Status SiloClient::RunLoop(Transport& transport, const RoundInput& input,
       premask.t = std::thread([this, round, dim] {
         // Best-effort: the only failure mode (missing pair keys) is
         // impossible here, and FinishRound recomputes inline on a miss.
-        core_->PrecomputeRoundMasks(round + 1, dim, premask_pool_).ok();
+        core_->PrecomputeRoundMasks(round + 1, dim, *pool_).ok();
       });
     }
 

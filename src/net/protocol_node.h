@@ -228,8 +228,8 @@ class SiloClient {
   /// One full streamed round (config.stream_chunk_users > 0, OT off):
   /// folds enc-weight chunks as they arrive, finishes the masked cipher,
   /// uploads it as a coordinate-chunk stream, and receives the round
-  /// result. Starts the next round's premask prefetch on `*premask` when
-  /// pipelining (the caller joins it before the next round).
+  /// result. Joins the premask prefetch on `*premask` before FinishRound
+  /// and starts the next round's when pipelining.
   Status HandleStreamedRound(Transport& transport, const Frame& first,
                              const RoundInput& input,
                              const RoundResultFn& on_result,
@@ -243,11 +243,13 @@ class SiloClient {
   int num_silos_;
   int num_users_;
   std::vector<int> histogram_;
+  /// Runs the fold and FinishRound, and also the pipeline prefetch, whose
+  /// thread calls PrecomputeRoundMasks concurrently with the main
+  /// thread's fold: both are pure compute (no task blocks on another
+  /// thread, the ParallelFor contract), so the next round's Enc(0)s
+  /// spread over every worker the fold leaves idle.
   PoolHandle pool_;
   std::unique_ptr<SiloCore> core_;  // built after SetupParams arrives
-  /// Pipeline mask prefetch runs inline on its own thread (see
-  /// ProtocolServer::prefetch_pool_ for the same pattern).
-  ThreadPool premask_pool_{1};
 };
 
 }  // namespace net

@@ -66,8 +66,7 @@ const char* TranscriptRoleName(TranscriptRole role);
 /// stream_window. The digest leaves the window out as party-local
 /// pacing; the meta keeps it so a replay re-runs the recorded party with
 /// the pacing it had. Other party-local knobs with bitwise-identical
-/// outputs (num_threads, fast_paillier, fixed_base, pipeline) are
-/// deliberately absent.
+/// outputs (num_threads, pipeline) are deliberately absent.
 struct TranscriptMeta {
   TranscriptRole role = TranscriptRole::kProtocolServer;
   uint32_t silo_id = 0;  // recording party's silo id; 0 for servers

@@ -187,12 +187,13 @@ TEST(NetProtocolTest, PackedConfigsAreDigestSeparated) {
   clip.pack_clip = 32.0;
   EXPECT_NE(ProtocolWireDigest(config, kSilos, kUsers),
             ProtocolWireDigest(clip, kSilos, kUsers));
-  // multi_exp is a party-local evaluation strategy (bitwise-identical
-  // outputs), so it must NOT split the wire digest.
-  ProtocolConfig me = TestConfig();
-  me.multi_exp = true;
+  // pipeline and num_threads are party-local evaluation strategies
+  // (bitwise-identical outputs), so they must NOT split the wire digest.
+  ProtocolConfig local = TestConfig();
+  local.pipeline = !config.pipeline;
+  local.num_threads = config.num_threads + 3;
   EXPECT_EQ(ProtocolWireDigest(config, kSilos, kUsers),
-            ProtocolWireDigest(me, kSilos, kUsers));
+            ProtocolWireDigest(local, kSilos, kUsers));
 }
 
 TEST(NetProtocolTest, JoinRejectsMismatchedConfigAndBadIds) {

@@ -145,6 +145,11 @@ TEST(NetStreamTest, StreamedRoundsBitwiseMatchMaterializedEverywhere) {
     EXPECT_EQ(RunOverChannels(config), reference) << threads << " threads";
     EXPECT_EQ(RunOverTcp(config), reference) << threads << " threads";
   }
+  // Pipelined silos precompute round r+1's masks and Enc(0)s while they
+  // fold round r+1's first chunks.
+  ProtocolConfig pipelined = StreamTestConfig();
+  pipelined.pipeline = true;
+  EXPECT_EQ(RunOverChannels(pipelined), reference);
 }
 
 TEST(NetStreamTest, StreamedOtModeBitwiseMatchesMaterialized) {

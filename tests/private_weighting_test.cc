@@ -257,57 +257,10 @@ TEST(ProtocolEdgeTest, AllUsersUnsampledYieldsNoiseOnly) {
   EXPECT_NEAR(out.value()[0], 0.5, 1e-8);  // just the two noise shares
 }
 
-TEST(ProtocolFastPathTest, FastAndColdPaillierPathsBitwiseAgree) {
-  // The cached-context fast path (context Montgomery reuse, randomizer
-  // pipeline, CRT decryption) must produce bit-for-bit the same round
-  // output as the static cold-path shim.
-  const int silos = 3, users = 5, dim = 4;
-  auto in = MakeInputs(silos, users, dim, 91);
-  std::vector<bool> mask(users, true);
-  mask[2] = false;
-  Vec outputs[2];
-  for (int fast = 0; fast < 2; ++fast) {
-    ProtocolConfig config;
-    config.paillier_bits = 512;
-    config.n_max = 30;
-    config.seed = 1234;
-    config.fast_paillier = fast == 1;
-    PrivateWeightingProtocol protocol(config, silos, users);
-    ASSERT_TRUE(protocol.Setup(in.histograms).ok());
-    auto out = protocol.WeightingRound(0, in.deltas, in.noise, mask);
-    ASSERT_TRUE(out.ok());
-    outputs[fast] = std::move(out.value());
-  }
-  EXPECT_EQ(outputs[0], outputs[1]);
-}
-
-TEST(ProtocolFixedBaseTest, FixedBaseRoundBitwiseAgreesWithSlidingWindow) {
-  // The per-user fixed-base tables must not change a single bit of the
-  // round output relative to the sliding-window MulPlaintext path.
-  const int silos = 3, users = 5, dim = 6;
-  auto in = MakeInputs(silos, users, dim, 47);
-  std::vector<bool> mask(users, true);
-  mask[3] = false;
-  Vec outputs[2];
-  for (int fb = 0; fb < 2; ++fb) {
-    ProtocolConfig config;
-    config.paillier_bits = 512;
-    config.n_max = 30;
-    config.seed = 4321;
-    config.fixed_base = fb == 1;
-    PrivateWeightingProtocol protocol(config, silos, users);
-    ASSERT_TRUE(protocol.Setup(in.histograms).ok());
-    auto out = protocol.WeightingRound(0, in.deltas, in.noise, mask);
-    ASSERT_TRUE(out.ok());
-    outputs[fb] = std::move(out.value());
-  }
-  EXPECT_EQ(outputs[0], outputs[1]);
-}
-
 TEST(ProtocolThreadInvarianceTest, RoundBitwiseIdenticalAt125Threads) {
-  // Fixed-base tables, the flattened mask sweep, and the randomizer
-  // pipeline all run on the pool; the round output must not depend on the
-  // thread count.
+  // The silo fold, the flattened mask sweep, and the randomizer pipeline
+  // all run on the pool; the round output must not depend on the thread
+  // count.
   const int silos = 3, users = 6, dim = 5;
   auto in = MakeInputs(silos, users, dim, 61);
   std::vector<bool> mask(users, true);
@@ -399,11 +352,10 @@ TEST(ProtocolOtTest, PrivateSubsamplingHonorsHiddenMask) {
   for (int d = 0; d < dim; ++d) EXPECT_NEAR(out.value()[d], expect[d], 1e-7);
 }
 
-TEST(ProtocolCacheTest, EncWeightAndTableCachesHitOnUnchangedMask) {
+TEST(ProtocolCacheTest, EncWeightCacheHitsOnUnchangedMask) {
   // cache_enc_weights: with OT off and an unchanged sampling mask, later
-  // rounds reuse the previous ciphertext vector and each silo reuses its
-  // per-user fixed-base tables. The aggregate must still match the
-  // plaintext reference every round.
+  // rounds reuse the previous ciphertext vector. The aggregate must still
+  // match the plaintext reference every round.
   const int silos = 3, users = 6, dim = 4;
   auto in = MakeInputs(silos, users, dim, 321);
   std::vector<bool> mask(users, true);
@@ -420,18 +372,16 @@ TEST(ProtocolCacheTest, EncWeightAndTableCachesHitOnUnchangedMask) {
   auto out0 = protocol.WeightingRound(0, in.deltas, in.noise, mask);
   ASSERT_TRUE(out0.ok());
   EXPECT_EQ(protocol.enc_weight_cache_hits(), 0u);
-  EXPECT_EQ(protocol.weight_table_cache_hits(), 0u);
 
   auto out1 = protocol.WeightingRound(1, in.deltas, in.noise, mask);
   ASSERT_TRUE(out1.ok());
   EXPECT_EQ(protocol.enc_weight_cache_hits(), 1u);
-  EXPECT_GT(protocol.weight_table_cache_hits(), 0u);
   // Identical ciphertexts + identical inputs => identical round output.
   EXPECT_EQ(out0.value(), out1.value());
   for (int d = 0; d < dim; ++d) EXPECT_NEAR(out1.value()[d], expect[d], 1e-7);
 }
 
-TEST(ProtocolCacheTest, MaskChangeInvalidatesBothCaches) {
+TEST(ProtocolCacheTest, MaskChangeInvalidatesEncWeightCache) {
   const int silos = 2, users = 5, dim = 3;
   auto in = MakeInputs(silos, users, dim, 654);
   ProtocolConfig config;
@@ -446,12 +396,10 @@ TEST(ProtocolCacheTest, MaskChangeInvalidatesBothCaches) {
   std::vector<bool> mask_b(users, true);
   mask_b[0] = false;
   ASSERT_TRUE(protocol.WeightingRound(0, in.deltas, in.noise, mask_a).ok());
-  // Changed mask: fresh ciphertexts for every user, so no enc-weight hit
-  // and every active user's table is rebuilt.
+  // Changed mask: fresh ciphertexts for every user, so no enc-weight hit.
   auto out_b = protocol.WeightingRound(1, in.deltas, in.noise, mask_b);
   ASSERT_TRUE(out_b.ok());
   EXPECT_EQ(protocol.enc_weight_cache_hits(), 0u);
-  EXPECT_EQ(protocol.weight_table_cache_hits(), 0u);
   Vec expect_b = PlaintextReference(in, mask_b, dim);
   for (int d = 0; d < dim; ++d) {
     EXPECT_NEAR(out_b.value()[d], expect_b[d], 1e-7);
@@ -459,7 +407,6 @@ TEST(ProtocolCacheTest, MaskChangeInvalidatesBothCaches) {
   // Back to mask_b again: now it hits.
   ASSERT_TRUE(protocol.WeightingRound(2, in.deltas, in.noise, mask_b).ok());
   EXPECT_EQ(protocol.enc_weight_cache_hits(), 1u);
-  EXPECT_GT(protocol.weight_table_cache_hits(), 0u);
 }
 
 TEST(ProtocolCacheTest, CachedRoundsAreThreadCountInvariant) {
@@ -593,46 +540,6 @@ TEST(ProtocolPackedTest, InfeasiblePackingIsRejectedAtSetup) {
   auto status = protocol.Setup({{1, 1}, {1, 1}});
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(ProtocolMultiExpTest, MultiExpRoundBitwiseAgreesWithLoop) {
-  // Pippenger bucket accumulation shares one squaring chain across the
-  // user batch; the round output must not move by a single bit.
-  const int silos = 3, users = 5, dim = 4;
-  auto in = MakeInputs(silos, users, dim, 174);
-  std::vector<bool> mask(users, true);
-  mask[1] = false;
-  Vec outputs[2];
-  for (int me = 0; me < 2; ++me) {
-    ProtocolConfig config;
-    config.paillier_bits = 512;
-    config.n_max = 30;
-    config.seed = 911;
-    config.multi_exp = me == 1;
-    PrivateWeightingProtocol protocol(config, silos, users);
-    ASSERT_TRUE(protocol.Setup(in.histograms).ok());
-    auto out = protocol.WeightingRound(0, in.deltas, in.noise, mask);
-    ASSERT_TRUE(out.ok());
-    outputs[me] = std::move(out.value());
-  }
-  EXPECT_EQ(outputs[0], outputs[1]);
-}
-
-TEST(ProtocolMultiExpTest, MultiExpComposesWithPackingBitwise) {
-  const int silos = 2, users = 5, dim = 7;
-  auto in = MakeInputs(silos, users, dim, 175);
-  std::vector<bool> mask(users, true);
-  Vec outputs[2];
-  for (int me = 0; me < 2; ++me) {
-    ProtocolConfig config = PackedTestConfig(4);
-    config.multi_exp = me == 1;
-    PrivateWeightingProtocol protocol(config, silos, users);
-    ASSERT_TRUE(protocol.Setup(in.histograms).ok());
-    auto out = protocol.WeightingRound(0, in.deltas, in.noise, mask);
-    ASSERT_TRUE(out.ok());
-    outputs[me] = std::move(out.value());
-  }
-  EXPECT_EQ(outputs[0], outputs[1]);
 }
 
 TEST(ProtocolTrainerTest, PrivatePathMatchesPlaintextEnhancedWeighting) {
