@@ -9,6 +9,7 @@
 // Emits BENCH_net_protocol.json. ULDP_BENCH_SMOKE=1 shrinks the scale for
 // CI; ULDP_BENCH_SCALE=full grows it toward paper-scale parameters.
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -52,6 +53,37 @@ struct DistributedResult {
   double round_s = 0.0;  // mean seconds per round
   std::vector<net::NetPhaseStats> phases;
   uint64_t total_bytes = 0;
+};
+
+/// Counts the wire bytes (headers included) of the silo-cipher stream
+/// frames — StreamBegin plus StreamChunk of StreamKind::kSiloCipher — a
+/// server receives. Exact for a fixed seed, unlike a phase split, which
+/// depends on when the receive mux reads the early cipher frames.
+class SiloCipherByteCounter : public net::TranscriptSink {
+ public:
+  void RecordFrame(uint32_t, bool sent, const uint8_t* data,
+                   size_t size) override {
+    if (sent) return;
+    auto frame = net::DecodeFrame(std::vector<uint8_t>(data, data + size));
+    if (!frame.ok()) return;
+    uint8_t kind = 0xFF;
+    if (frame.value().type ==
+        static_cast<uint16_t>(net::MessageType::kStreamBegin)) {
+      auto begin = net::FromFrame<net::StreamBeginMsg>(frame.value());
+      if (begin.ok()) kind = begin.value().kind;
+    } else if (frame.value().type ==
+               static_cast<uint16_t>(net::MessageType::kStreamChunk)) {
+      auto chunk = net::FromFrame<net::StreamChunkMsg>(frame.value());
+      if (chunk.ok()) kind = chunk.value().kind;
+    }
+    if (kind == static_cast<uint8_t>(net::StreamKind::kSiloCipher)) {
+      bytes_.fetch_add(size, std::memory_order_relaxed);
+    }
+  }
+  uint64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> bytes_{0};
 };
 
 ProtocolConfig MakeConfig(const BenchScale& scale) {
@@ -124,11 +156,14 @@ DistributedResult RunDistributed(
   return result;
 }
 
-DistributedResult RunOverChannels(const ProtocolConfig& config,
-                                  const BenchScale& scale) {
+/// `tap`, when set, observes every frame of the server's connections.
+DistributedResult RunOverChannels(
+    const ProtocolConfig& config, const BenchScale& scale,
+    std::shared_ptr<net::TranscriptSink> tap = nullptr) {
   std::vector<std::unique_ptr<Transport>> server_ends, silo_ends;
   for (int s = 0; s < scale.silos; ++s) {
     auto [a, b] = ChannelTransport::CreatePair();
+    if (tap != nullptr) a->BindTranscript(tap, static_cast<uint32_t>(s));
     server_ends.push_back(std::move(a));
     silo_ends.push_back(std::move(b));
   }
@@ -270,9 +305,10 @@ int Run() {
   }
   // -- Ciphertext packing: weighting-phase wire bytes at k in {1, 4, 8} --
   // Fixed scale in every mode so the gated byte counts stay deterministic:
-  // the silo->server cipher frames are the per-round traffic packing
-  // shrinks (ceil(dim/k) ciphertexts instead of dim per silo), and all
-  // packed runs must decode bitwise identical to the unpacked one.
+  // the silo->server cipher stream frames are the per-round traffic
+  // packing shrinks (ceil(dim/k) ciphertexts instead of dim per silo),
+  // counted frame by frame, and all packed runs must decode bitwise
+  // identical to the unpacked one.
   BenchScale pscale;
   pscale.silos = 2;
   pscale.users = 4;
@@ -289,27 +325,20 @@ int Run() {
     c.pack_slots = k;
     return c;
   };
-  auto cipher_bytes = [](const DistributedResult& r) {
-    for (const auto& p : r.phases) {
-      if (p.phase == "silo_ciphers") {
-        return static_cast<double>(p.bytes_received);
-      }
-    }
-    return 0.0;
-  };
   std::vector<Vec> packed_reference;
   double unpacked_bytes = 0.0;
   for (int k : {1, 2, 4, 8}) {
-    DistributedResult r = RunOverChannels(packed_config(k), pscale);
+    auto counter = std::make_shared<SiloCipherByteCounter>();
+    DistributedResult r = RunOverChannels(packed_config(k), pscale, counter);
+    const double bytes = static_cast<double>(counter->bytes());
     if (k == 1) {
       packed_reference = r.outs;
-      unpacked_bytes = cipher_bytes(r);
+      unpacked_bytes = bytes;
     } else if (r.outs != packed_reference) {
       std::cerr << "FATAL: pack_slots=" << k
                 << " aggregates diverge from the unpacked reference\n";
       return 1;
     }
-    const double bytes = cipher_bytes(r);
     const int cdim = (pscale.dim + k - 1) / k;
     const std::string ks = std::to_string(k);
     json.Add("packed_weighting_bytes", bytes, {{"pack_slots", ks}});

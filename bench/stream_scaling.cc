@@ -1,15 +1,15 @@
 // Streaming-round scaling bench: runs the distributed Protocol 1 over
-// ChannelTransport in materializing and streaming mode at two user
-// counts and reports, per configuration, the process's peak RSS, the
-// largest wire frame of the weighting rounds, and a hash of the round
-// aggregates. The firm gates (bench/baselines/stream_scaling.json):
+// ChannelTransport with every user in one enc-weight chunk and with
+// bounded chunks at two user counts and reports, per configuration, the
+// process's peak RSS, the largest wire frame of the weighting rounds, and
+// a hash of the round aggregates. The firm gates
+// (bench/baselines/stream_scaling.json):
 //
-//   - stream_bitwise_divergence == 0: streamed aggregates are bitwise
-//     identical to the materializing path at every user count;
+//   - stream_bitwise_divergence == 0: chunked aggregates are bitwise
+//     identical to one-chunk rounds at every user count;
 //   - round_frame_bytes{mode=streamed} stays under the chunk ceiling at
-//     every user count — no SiloCipher or enc-weight frame ever grows
-//     with the cohort (the materializing rows grow linearly, for
-//     contrast);
+//     every user count — no silo-cipher or enc-weight frame ever grows
+//     with the cohort (the one_chunk rows grow linearly, for contrast);
 //   - peak_rss_bytes ceilings (lower-is-better; loose at smoke scale,
 //     where the process baseline dwarfs the per-user ciphertext pool).
 //
@@ -120,7 +120,7 @@ void RunConfig(const BenchScale& scale, int users, bool streamed,
 
   auto fail = [&](const Status& status) {
     std::cerr << "stream_scaling child (users " << users << ", "
-              << (streamed ? "streamed" : "materialized")
+              << (streamed ? "streamed" : "one_chunk")
               << "): " << status.ToString() << "\n";
     report->failed = 1;
   };
@@ -218,20 +218,20 @@ int Run() {
   bool all_bitwise = true;
   std::vector<uint64_t> streamed_rss;
   for (int users : scale.user_counts) {
-    ChildReport materialized = RunConfigIsolated(scale, users, false);
+    ChildReport one_chunk = RunConfigIsolated(scale, users, false);
     ChildReport streamed = RunConfigIsolated(scale, users, true);
-    if (materialized.failed != 0 || streamed.failed != 0) {
+    if (one_chunk.failed != 0 || streamed.failed != 0) {
       std::cerr << "FATAL: a configuration run failed\n";
       return 1;
     }
-    const bool bitwise = materialized.hash == streamed.hash;
+    const bool bitwise = one_chunk.hash == streamed.hash;
     all_bitwise = all_bitwise && bitwise;
     streamed_rss.push_back(streamed.peak_rss);
     const std::string us = std::to_string(users);
     struct Row {
       const char* mode;
       const ChildReport* r;
-    } rows[] = {{"materialized", &materialized}, {"streamed", &streamed}};
+    } rows[] = {{"one_chunk", &one_chunk}, {"streamed", &streamed}};
     for (const Row& row : rows) {
       json.Add("peak_rss_bytes", static_cast<double>(row.r->peak_rss),
                {{"mode", row.mode}, {"users", us}});
@@ -243,7 +243,7 @@ int Run() {
     }
     std::cout << "  users " << users << ": streamed aggregates "
               << (bitwise ? "bitwise-match" : "DIVERGE FROM")
-              << " the materializing path\n";
+              << " the one-chunk rounds\n";
   }
   json.Add("stream_bitwise_divergence", all_bitwise ? 0.0 : 1.0);
   if (streamed_rss.size() >= 2 && streamed_rss.front() > 0) {
@@ -256,7 +256,7 @@ int Run() {
   }
   if (!all_bitwise) {
     std::cerr << "FATAL: streamed aggregates diverge from the "
-                 "materializing path\n";
+                 "one-chunk rounds\n";
     return 1;
   }
   json.Write();

@@ -127,15 +127,14 @@ Result<Vec> PrivateWeightingProtocol::WeightingRound(
     }
   }
 
-  // -- Weighting (a): the server encrypts the (sampled) inverted weights.
-  // In OT mode the §4.1 extension runs instead: the server offers P
-  // shuffled slots per user (real Enc(B_inv) in a q-fraction, Enc(0) in
-  // the rest) and the joint receiver fetches one by 1-out-of-P OT, so
-  // neither side learns the sampling outcome.
+  // -- Weighting (a): the server encrypts the (sampled) inverted weights,
+  // chunk by chunk in the fold loop below. In OT mode the §4.1 extension
+  // runs instead, up front: the server offers P shuffled slots per user
+  // (real Enc(B_inv) in a q-fraction, Enc(0) in the rest) and the joint
+  // receiver fetches one by 1-out-of-P OT, so neither side learns the
+  // sampling outcome.
   auto t0 = Clock::now();
-  const int chunk_users = StreamChunkUsers(config_);
-  const bool streaming = chunk_users > 0;
-  std::vector<BigInt> enc_weights;
+  std::vector<BigInt> ot_weights;
   if (config_.ot_slots > 0) {
     auto senders = server_->OtSenderInit(round, *pool_);
     if (!senders.ok()) return senders.status();
@@ -146,7 +145,7 @@ Result<Vec> PrivateWeightingProtocol::WeightingRound(
     auto fetched = silos_[0]->OtReceiverDecrypt(round, senders.value(),
                                                 slots.value(), *pool_);
     if (!fetched.ok()) return fetched.status();
-    enc_weights = std::move(fetched.value());
+    ot_weights = std::move(fetched.value());
     // Ground truth of the hidden sampling outcome: only the simulation —
     // holding both the sender's shuffles and the receiver's choices — can
     // reconstruct it.
@@ -157,113 +156,66 @@ Result<Vec> PrivateWeightingProtocol::WeightingRound(
     for (int u = 0; u < num_users_; ++u) {
       last_ot_mask_[u] = perms[u][sigmas[u]] < real_slots;
     }
-  } else if (!streaming) {
-    auto enc = server_->EncryptWeights(round, user_sampled, *pool_);
-    if (!enc.ok()) return enc.status();
-    enc_weights = std::move(enc.value());
   }
-  // (streaming && !OT: ciphertexts are produced chunk by chunk below and
-  // never materialized as a full vector anywhere.)
   timings_.encrypt_weights_s += SecondsSince(t0);
-
-  // Broadcast: every silo receives the same ciphertext vector (fetched via
-  // OT in the private-sub-sampling extension; ciphertexts are semantically
-  // secure either way). A streamed round only ever holds one chunk, so the
-  // recorded view stays empty.
-  for (int s = 0; s < num_silos_; ++s) {
-    silo_views_[s].encrypted_weights = enc_weights;
-  }
 
   // -- Weighting (b)+(c), silo side: encrypted weighted sums, encoded
   // noise, pairwise masks, re-randomization — the same SiloCore calls a
   // distributed silo endpoint makes, so both are bitwise identical.
-  t0 = Clock::now();
   for (int s = 0; s < num_silos_; ++s) {
     if (static_cast<int>(clipped_deltas[s].size()) != num_users_) {
       return Status::InvalidArgument("delta matrix size mismatch");
     }
   }
   const size_t cdim = server_->params().packed.PackedDim(dim);
-  if (streaming) {
-    // Streaming sweep: encrypt -> fold -> discard in chunks of
-    // stream_chunk_users. Each silo folds the chunk into its running
-    // accumulator, so peak resident ciphertexts are O(chunk), not
-    // O(users). Every per-user value comes from a Fork(round, user)
-    // substream and every fold is an exact modular product, so this path
-    // is bitwise identical to the materializing sweep below.
-    std::vector<std::vector<BigInt>> silo_ciphers(num_silos_);
-    for (int s = 0; s < num_silos_; ++s) {
-      silo_ciphers[s] = SiloCore::NewCipherAccumulator(cdim);
+  // Encrypt -> fold -> discard in chunks of StreamChunkUsers users, the
+  // distributed round's arrival pattern: every silo receives the same
+  // chunk (semantically secure ciphertexts; fetched via OT in the
+  // private-sub-sampling extension) and folds it into its running
+  // accumulator, so peak resident ciphertexts are O(chunk), not O(users).
+  std::vector<std::vector<BigInt>> silo_ciphers(
+      num_silos_, SiloCore::NewCipherAccumulator(cdim));
+  std::vector<Status> silo_status(num_silos_, Status::Ok());
+  const int chunk_users = StreamChunkUsers(config_, num_users_);
+  for (int u0 = 0; u0 < num_users_; u0 += chunk_users) {
+    const int u1 = std::min(num_users_, u0 + chunk_users);
+    t0 = Clock::now();
+    std::vector<BigInt> enc_chunk;
+    if (config_.ot_slots > 0) {
+      enc_chunk.assign(ot_weights.begin() + u0, ot_weights.begin() + u1);
+    } else {
+      auto enc =
+          server_->EncryptWeightsRange(round, user_sampled, u0, u1, *pool_);
+      if (!enc.ok()) return enc.status();
+      enc_chunk = std::move(enc.value());
     }
-    std::vector<Status> silo_status(num_silos_, Status::Ok());
-    for (int u0 = 0; u0 < num_users_; u0 += chunk_users) {
-      const int u1 = std::min(num_users_, u0 + chunk_users);
-      auto tenc = Clock::now();
-      std::vector<BigInt> enc_chunk;
-      if (config_.ot_slots > 0) {
-        // OT mode fetched the full vector interactively above; the silo
-        // fold still runs chunked.
-        enc_chunk.assign(enc_weights.begin() + u0, enc_weights.begin() + u1);
-      } else {
-        auto ec =
-            server_->EncryptWeightsRange(round, user_sampled, u0, u1, *pool_);
-        if (!ec.ok()) return ec.status();
-        enc_chunk = std::move(ec.value());
-      }
-      timings_.encrypt_weights_s += SecondsSince(tenc);
-      pool_->ParallelFor(static_cast<size_t>(num_silos_), [&](size_t s) {
-        if (!silo_status[s].ok()) return;  // earlier chunk already failed
-        silo_status[s] = silos_[s]->AccumulateUsersChunk(
-            enc_chunk, u0, u1, clipped_deltas[s], dim, &silo_ciphers[s],
-            *pool_);
-      });
-      ULDP_RETURN_IF_ERROR(FirstError(silo_status));
-    }
+    timings_.encrypt_weights_s += SecondsSince(t0);
+    // The last chunk's silo task also finishes the round (noise, masks,
+    // re-randomization), so a silo with a light fold need not wait for
+    // the others before it starts.
+    const bool last = u1 == num_users_;
+    t0 = Clock::now();
     pool_->ParallelFor(static_cast<size_t>(num_silos_), [&](size_t s) {
+      if (!silo_status[s].ok()) return;  // earlier chunk already failed
+      silo_status[s] = silos_[s]->AccumulateUsersChunk(
+          enc_chunk, u0, u1, clipped_deltas[s], dim, &silo_ciphers[s],
+          *pool_);
+      if (!last || !silo_status[s].ok()) return;
       silo_status[s] = silos_[s]->FinishRound(round, silo_noise[s],
                                               &silo_ciphers[s], *pool_);
     });
     ULDP_RETURN_IF_ERROR(FirstError(silo_status));
     timings_.silo_weighting_s += SecondsSince(t0);
-
-    // Server side: fold each silo's cipher in coordinate chunks — the
-    // arrival pattern of the chunked wire frames — into the running
-    // product.
-    t0 = Clock::now();
-    const size_t chunk_coords = static_cast<size_t>(StreamChunkCoords(config_));
-    std::vector<BigInt> product = SiloCore::NewCipherAccumulator(cdim);
-    for (int s = 0; s < num_silos_; ++s) {
-      for (size_t c0 = 0; c0 < cdim; c0 += chunk_coords) {
-        const size_t c1 = std::min(cdim, c0 + chunk_coords);
-        std::vector<BigInt> slice(silo_ciphers[s].begin() + c0,
-                                  silo_ciphers[s].begin() + c1);
-        ULDP_RETURN_IF_ERROR(
-            server_->AccumulateSiloCipherRange(slice, c0, &product));
+    if (last) {
+      for (int s = 0; s < num_silos_; ++s) {
+        silo_views_[s].encrypted_weights = enc_chunk;
       }
     }
-    timings_.aggregation_s += SecondsSince(t0);
-
-    t0 = Clock::now();
-    auto out = server_->DecryptAggregate(product, *pool_, dim);
-    if (!out.ok()) return out.status();
-    timings_.decryption_s += SecondsSince(t0);
-    return out;
   }
-  std::vector<std::vector<BigInt>> silo_ciphers(
-      num_silos_, SiloCore::NewCipherAccumulator(cdim));
-  std::vector<Status> silo_status(num_silos_, Status::Ok());
-  pool_->ParallelFor(static_cast<size_t>(num_silos_), [&](size_t s) {
-    silo_status[s] = silos_[s]->AccumulateUsersChunk(
-        enc_weights, 0, num_users_, clipped_deltas[s], dim, &silo_ciphers[s],
-        *pool_);
-    if (!silo_status[s].ok()) return;
-    silo_status[s] = silos_[s]->FinishRound(round, silo_noise[s],
-                                            &silo_ciphers[s], *pool_);
-  });
-  ULDP_RETURN_IF_ERROR(FirstError(silo_status));
-  timings_.silo_weighting_s += SecondsSince(t0);
 
-  // -- Weighting (c), server side: ciphertext product (masks cancel)...
+  // -- Weighting (c), server side: ciphertext product (masks cancel). The
+  // product is exact, so folding whole ciphers equals the distributed
+  // server's per-chunk fold bit for bit...
   t0 = Clock::now();
   std::vector<BigInt> product = SiloCore::NewCipherAccumulator(cdim);
   for (int s = 0; s < num_silos_; ++s) {

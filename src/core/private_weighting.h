@@ -58,8 +58,9 @@ struct ProtocolTimings {
 
 /// What silo s observed.
 struct SiloProtocolView {
-  /// Encrypted weights received each round (ciphertexts only).
-  std::vector<BigInt> encrypted_weights;  // [user], last round
+  /// The last enc-weight chunk received (ciphertexts only): the whole
+  /// [user] vector when the round is one chunk (stream_chunk_users = 0).
+  std::vector<BigInt> encrypted_weights;
 };
 
 class PrivateWeightingProtocol {
@@ -99,12 +100,6 @@ class PrivateWeightingProtocol {
   }
   const BigInt& c_lcm() const { return server_->params().c_lcm; }
   bool setup_done() const { return setup_done_; }
-
-  /// Rounds that reused the previous ciphertext vector
-  /// (config.cache_enc_weights); stays 0 with the default config.
-  uint64_t enc_weight_cache_hits() const {
-    return server_->enc_weight_cache_hits();
-  }
 
  private:
   ProtocolConfig config_;

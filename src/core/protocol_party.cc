@@ -48,12 +48,13 @@ int OtRealSlots(const ProtocolConfig& config) {
       0.5);
 }
 
-int StreamChunkUsers(const ProtocolConfig& config) {
-  return config.stream_chunk_users > 0 ? config.stream_chunk_users : 0;
+int StreamChunkUsers(const ProtocolConfig& config, int num_users) {
+  return config.stream_chunk_users > 0
+             ? std::min(config.stream_chunk_users, num_users)
+             : num_users;
 }
 
 int StreamChunkCoords(const ProtocolConfig& config) {
-  if (config.stream_chunk_users <= 0) return 0;
   return config.stream_chunk_coords > 0 ? config.stream_chunk_coords : 256;
 }
 
@@ -82,12 +83,6 @@ Status ProtocolParams::Derive() {
       return Status::InvalidArgument("OT mode requires the OT group");
     }
     ot_group.EnsureGeneratorTable();
-  }
-  if (config.stream_chunk_users > 0 && config.cache_enc_weights) {
-    // The enc-weight cache is by definition a full round's worth of
-    // resident ciphertexts — the opposite of the streaming contract.
-    return Status::InvalidArgument(
-        "stream_chunk_users is incompatible with cache_enc_weights");
   }
   return CheckTheorem4Bound(config, num_silos, num_users, c_lcm,
                             public_key.n);
@@ -193,47 +188,7 @@ Status ServerCore::FinalizeSetup() {
 
 Result<std::vector<BigInt>> ServerCore::EncryptWeights(
     uint64_t round, const std::vector<bool>& user_sampled, ThreadPool& pool) {
-  obs::TraceSpan span("core.encrypt_weights", "round",
-                      static_cast<int64_t>(round));
-  if (!setup_done_) {
-    return Status::FailedPrecondition("setup has not completed");
-  }
-  if (params_.config.ot_slots > 0) {
-    return Status::FailedPrecondition(
-        "OT mode derives the sampling mask privately; use OtSenderInit");
-  }
-  const int num_users = params_.num_users;
-  if (static_cast<int>(user_sampled.size()) != num_users) {
-    return Status::InvalidArgument("sampling mask size mismatch");
-  }
-  if (params_.config.cache_enc_weights && cache_valid_ &&
-      cached_mask_ == user_sampled) {
-    enc_cache_hits_.Add(1);
-    return cached_enc_;
-  }
-  // Randomizer pipeline: r^n mod n^2 is plaintext-independent, so
-  // EncryptBatch batch-computes one randomizer per user on the pool
-  // (drawing r from the same Fork(round, user) substream, in the same
-  // order, as a direct Encrypt would), then encryption itself is a
-  // single modular multiply per user.
-  std::vector<BigInt> plains(num_users);
-  for (int u = 0; u < num_users; ++u) {
-    if (user_sampled[u]) plains[u] = b_inv_[u];
-  }
-  auto batch = paillier_->EncryptBatch(
-      plains,
-      [&](size_t u) {
-        return root_.Fork(round, static_cast<uint64_t>(u), kRngStreamEncrypt);
-      },
-      pool);
-  if (!batch.ok()) return batch.status();
-  std::vector<BigInt> enc_weights = std::move(batch.value());
-  if (params_.config.cache_enc_weights) {
-    cached_enc_ = enc_weights;
-    cached_mask_ = user_sampled;
-    cache_valid_ = true;
-  }
-  return enc_weights;
+  return EncryptWeightsRange(round, user_sampled, 0, params_.num_users, pool);
 }
 
 Result<std::vector<BigInt>> ServerCore::EncryptWeightsRange(
@@ -256,10 +211,13 @@ Result<std::vector<BigInt>> ServerCore::EncryptWeightsRange(
     return Status::InvalidArgument("user range out of bounds");
   }
   const int count = u1 - u0;
-  // Same randomizer pipeline as EncryptWeights, with the Fork substream
-  // addressed by the absolute user index u0 + i: per-user randomness is
-  // independent of how the round is chunked, so concatenated range calls
-  // are bitwise identical to one full-vector call.
+  // Randomizer pipeline: r^n mod n^2 is plaintext-independent, so
+  // EncryptBatch batch-computes one randomizer per user on the pool, then
+  // encryption itself is a single modular multiply per user. The Fork
+  // substream is addressed by the absolute user index u0 + i: per-user
+  // randomness is independent of how the round is chunked, so
+  // concatenated range calls are bitwise identical to one full-vector
+  // call.
   std::vector<BigInt> plains(count);
   for (int i = 0; i < count; ++i) {
     if (user_sampled[u0 + i]) plains[i] = b_inv_[u0 + i];

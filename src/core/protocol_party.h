@@ -38,7 +38,6 @@
 #include "crypto/paillier.h"
 #include "crypto/paillier_ctx.h"
 #include "nn/tensor.h"
-#include "obs/metrics.h"
 
 namespace uldp {
 
@@ -76,19 +75,12 @@ struct ProtocolConfig {
   /// all encryption randomness comes from Rng::Fork substreams and every
   /// reduction is an exact modular product.
   int num_threads = 0;
-  /// Reuse the previous round's encrypted weights when OT is off and the
-  /// sampling mask is unchanged. Ciphertexts are semantically secure, so
-  /// resending one is safe against the silos; the trade is that the server
-  /// skips re-randomization. Off by default: enabling it changes which
-  /// randomizers a round consumes, so cached and uncached runs produce
-  /// different (equally valid) outputs.
-  bool cache_enc_weights = false;
   /// Multi-round pipelining (party-local, like num_threads — peers need
   /// not agree and the message flow is unchanged). Server: precompute
-  /// round r+1's encrypted weights on a background thread while round r's
-  /// silo ciphers are in flight. Silo: precompute round r+1's pairwise
-  /// masks and re-randomizing Enc(0)s from its round-r upload until its
-  /// round-r+1 fold is done. Every precomputed value
+  /// round r+1's first enc-weight chunk on a background thread while round
+  /// r's silo ciphers are in flight. Silo: precompute round r+1's pairwise
+  /// masks and re-randomizing Enc(0)s from its round-r FinishRound until
+  /// its round-r+1 fold is done. Every precomputed value
   /// comes from the same Fork substreams and PRF evaluations the inline
   /// path would use, so outputs are bitwise identical with the knob on or
   /// off (tested). Ignored in OT mode (the OT round is an interactive
@@ -108,24 +100,22 @@ struct ProtocolConfig {
   /// encode time. Ignored when pack_slots == 1 (the unpacked path keeps
   /// the original n/2 headroom of Theorem 4).
   double pack_clip = 64.0;
-  /// > 0 enables memory-bounded streaming rounds: the server encrypts and
-  /// ships Enc(B_inv) in chunks of this many users, each silo folds a
-  /// chunk into its running cipher accumulator and discards it before the
-  /// next arrives, and the silo->server cipher travels as chunked frames
-  /// the server folds on arrival. Peak resident per-user ciphertexts drop
-  /// from O(users) to O(stream_chunk_users); because every per-user value
-  /// comes from a Fork(round, user) substream and every fold is an exact
-  /// modular product, streamed rounds are bitwise identical to
-  /// materializing ones. Changes the distributed message flow, so both
-  /// endpoints must agree (part of the wire digest). 0 = materialize (the
-  /// classic path). Incompatible with cache_enc_weights (the cache is by
-  /// definition a round's worth of resident ciphertexts).
+  /// Users per Enc(B_inv) chunk of a weighting round. Every round
+  /// streams: the server encrypts and ships Enc(B_inv) one user chunk at a
+  /// time, each silo folds a chunk into its running cipher accumulator and
+  /// discards it before the next arrives, and the silo->server cipher
+  /// travels as coordinate chunks the server folds on arrival. Peak
+  /// resident per-user ciphertexts are O(chunk); because every per-user
+  /// value comes from a Fork(round, user) substream and every fold is an
+  /// exact modular product, any chunking yields bitwise-identical
+  /// aggregates. 0 = one chunk holding every user. Changes the frame
+  /// geometry, so both endpoints must agree (part of the wire digest).
   int stream_chunk_users = 0;
-  /// Ciphertext coordinates per chunked SiloCipher/MaskedVector wire
-  /// frame when streaming is on (stream_chunk_users > 0). Bounds the
-  /// largest weighting-phase frame to ~chunk * ciphertext_bytes instead
-  /// of dim * ciphertext_bytes. <= 0 picks a default (256). Part of the
-  /// wire digest (both endpoints must frame identically).
+  /// Ciphertext coordinates per streamed silo-cipher / MaskedVector wire
+  /// frame. Bounds the largest weighting-phase frame to ~chunk *
+  /// ciphertext_bytes instead of dim * ciphertext_bytes. <= 0 picks a
+  /// default (256). Part of the wire digest (both endpoints must frame
+  /// identically).
   int stream_chunk_coords = 0;
   /// Flow-control credit window for chunked streams: a sender keeps at
   /// most this many unacknowledged chunks in flight before blocking on a
@@ -134,9 +124,10 @@ struct ProtocolConfig {
   int stream_window = 0;
 };
 
-/// Effective chunk sizes for streaming mode (resolving the <= 0 defaults);
-/// both return 0 when streaming is off.
-int StreamChunkUsers(const ProtocolConfig& config);
+/// Effective stream geometry (resolving the <= 0 defaults). Users per
+/// enc-weight chunk lie in [1, num_users]: 0, or any value of at least
+/// num_users, is one chunk holding every user.
+int StreamChunkUsers(const ProtocolConfig& config, int num_users);
 int StreamChunkCoords(const ProtocolConfig& config);
 int StreamWindow(const ProtocolConfig& config);
 
@@ -206,19 +197,16 @@ class ServerCore {
 
   /// Weighting (a), server-side sampling (OT off): Enc(B_inv(N_u)) for
   /// sampled users, Enc(0) otherwise; randomness from Fork(round, user).
-  /// With config.cache_enc_weights, returns the previous round's
-  /// ciphertexts when the mask is unchanged.
+  /// EncryptWeightsRange over every user.
   Result<std::vector<BigInt>> EncryptWeights(
       uint64_t round, const std::vector<bool>& user_sampled, ThreadPool& pool);
-  /// Streaming variant: encrypts only users [u0, u1) (returning u1 - u0
-  /// ciphertexts). Randomness still comes from Fork(round, u) addressed by
-  /// the *absolute* user index, so concatenating range calls reproduces
+  /// One enc-weight chunk: encrypts only users [u0, u1) (returning u1 - u0
+  /// ciphertexts). Randomness comes from Fork(round, u) addressed by the
+  /// *absolute* user index, so concatenating range calls reproduces
   /// EncryptWeights bit for bit while holding only one chunk resident.
-  /// Never consults the enc-weight cache (streaming excludes it).
   Result<std::vector<BigInt>> EncryptWeightsRange(
       uint64_t round, const std::vector<bool>& user_sampled, int u0, int u1,
       ThreadPool& pool);
-  uint64_t enc_weight_cache_hits() const { return enc_cache_hits_.value(); }
 
   /// Weighting (a), OT mode, sender step 1: per-user slot elements, sender
   /// secrets (A = g^r runs inside the flat user × slot sweep), and the
@@ -267,14 +255,6 @@ class ServerCore {
   bool keys_done_ = false;
   bool setup_done_ = false;
   Rng root_;  // Fork-only root; never drawn from directly
-
-  // Encrypted-weight cache (config.cache_enc_weights). The hit counter is
-  // registry-backed (src/obs) so metrics snapshots report it; the accessor
-  // above reads this instance exactly as before.
-  std::vector<BigInt> cached_enc_;
-  std::vector<bool> cached_mask_;
-  bool cache_valid_ = false;
-  obs::Counter enc_cache_hits_{"core.enc_weight_cache_hits"};
 
   // OT sender round state.
   uint64_t ot_round_ = 0;

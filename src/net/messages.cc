@@ -28,18 +28,17 @@ uint64_t ProtocolWireDigest(const ProtocolConfig& config, int num_silos,
   w.U32(static_cast<uint32_t>(config.ot_slots));
   w.F64(config.ot_sample_rate);
   w.U32(static_cast<uint32_t>(config.ot_group_bits));
-  w.U8(config.cache_enc_weights ? 1 : 0);
   // Packing is part of the wire contract: every silo and the server must
   // agree on the slot layout or packed aggregates decode as garbage.
   w.U32(static_cast<uint32_t>(config.pack_slots));
   w.F64(config.pack_clip);
   w.U32(static_cast<uint32_t>(num_silos));
   w.U32(static_cast<uint32_t>(num_users));
-  // Streaming changes the round's message flow (chunked frames instead of
-  // monolithic RoundBegin/SiloCipher), so both chunk knobs are part of the
-  // contract. stream_window stays out: receivers ack every chunk, so the
-  // sender's in-flight window is party-local pacing.
-  w.U32(static_cast<uint32_t>(StreamChunkUsers(config)));
+  // Both sides validate every stream's chunk size, so the effective chunk
+  // geometry is part of the contract (0 and num_users frame alike).
+  // stream_window stays out: receivers ack every chunk, so the sender's
+  // in-flight window is party-local pacing.
+  w.U32(static_cast<uint32_t>(StreamChunkUsers(config, num_users)));
   w.U32(static_cast<uint32_t>(StreamChunkCoords(config)));
   return WireDigest(w.buffer());
 }
@@ -154,18 +153,6 @@ void SetupAckMsg::AppendTo(WireWriter&) const {}
 
 Result<SetupAckMsg> SetupAckMsg::Parse(WireReader&) { return SetupAckMsg{}; }
 
-void RoundBeginMsg::AppendTo(WireWriter& w) const {
-  w.U64(phase_tag);
-  w.BigVec(enc_weights);
-}
-
-Result<RoundBeginMsg> RoundBeginMsg::Parse(WireReader& r) {
-  RoundBeginMsg m;
-  ULDP_RETURN_IF_ERROR(r.U64(&m.phase_tag));
-  ULDP_RETURN_IF_ERROR(r.BigVec(&m.enc_weights));
-  return m;
-}
-
 void OtSenderMsg::AppendTo(WireWriter& w) const {
   w.U64(phase_tag);
   w.U32(static_cast<uint32_t>(senders.size()));
@@ -237,22 +224,6 @@ Result<WeightRelayMsg> WeightRelayMsg::Parse(WireReader& r) {
   ULDP_RETURN_IF_ERROR(r.U32(&m.from_silo));
   ULDP_RETURN_IF_ERROR(r.U32(&m.to_silo));
   ULDP_RETURN_IF_ERROR(r.Bytes(&m.ciphertext));
-  return m;
-}
-
-void SiloCipherMsg::AppendTo(WireWriter& w) const {
-  w.U64(phase_tag);
-  w.U32(silo_id);
-  w.U32(dim);
-  w.BigVec(cipher);
-}
-
-Result<SiloCipherMsg> SiloCipherMsg::Parse(WireReader& r) {
-  SiloCipherMsg m;
-  ULDP_RETURN_IF_ERROR(r.U64(&m.phase_tag));
-  ULDP_RETURN_IF_ERROR(r.U32(&m.silo_id));
-  ULDP_RETURN_IF_ERROR(r.U32(&m.dim));
-  ULDP_RETURN_IF_ERROR(r.BigVec(&m.cipher));
   return m;
 }
 

@@ -24,6 +24,8 @@
 namespace uldp {
 namespace net {
 
+/// Retired ids are never reused: 8 and 13 carried the whole-vector
+/// round frames of wire version 1, before every round streamed.
 enum class MessageType : uint16_t {
   kJoin = 1,
   kSetupParams = 2,
@@ -32,12 +34,10 @@ enum class MessageType : uint16_t {
   kSeedShare = 5,
   kBlindedHistogram = 6,
   kSetupAck = 7,
-  kRoundBegin = 8,
   kOtSender = 9,
   kOtReceiver = 10,
   kOtSlots = 11,
   kWeightRelay = 12,
-  kSiloCipher = 13,
   kRoundResult = 14,
   kShutdown = 15,
   kMaskedVector = 16,
@@ -52,14 +52,15 @@ enum class MessageType : uint16_t {
   kEvict = 25,
 };
 
-/// What a chunked stream carries — determines which monolithic message the
-/// stream replaces and how the receiver folds chunks.
+/// What a chunked stream carries — determines how the receiver validates
+/// and folds its chunks.
 enum class StreamKind : uint8_t {
-  /// Server -> silo: the round's Enc(B_inv) vector in user chunks
-  /// (replaces RoundBeginMsg when streaming is on).
+  /// Server -> silo: the round's Enc(B_inv) vector in user chunks (OT
+  /// off; OT rounds deliver weights on their own messages).
   kEncWeights = 0,
-  /// Silo -> server: the masked cipher in coordinate chunks (replaces
-  /// SiloCipherMsg).
+  /// Silo -> server: the masked encrypted weighted sum (weighting
+  /// (b)+(c)) in coordinate chunks; StreamBegin.dim carries the model
+  /// dimension, so packed ciphers (pack_slots > 1) decode correctly.
   kSiloCipher = 1,
   /// A pairwise-masked vector in coordinate chunks (replaces
   /// MaskedVectorMsg; for the FL-layer secure-aggregation path).
@@ -160,16 +161,6 @@ struct SetupAckMsg {
   static Result<SetupAckMsg> Parse(WireReader& r);
 };
 
-/// Server -> silo (OT off): the round's encrypted weight vector.
-/// phase_tag = MakeMaskTag(kRoundWeighting, round).
-struct RoundBeginMsg {
-  static constexpr MessageType kType = MessageType::kRoundBegin;
-  uint64_t phase_tag = 0;
-  std::vector<BigInt> enc_weights;
-  void AppendTo(WireWriter& w) const;
-  static Result<RoundBeginMsg> Parse(WireReader& r);
-};
-
 /// Server -> receiver silo (OT mode): per-user sender messages
 /// {C_0..C_{P-1}, A}. phase_tag = MakeMaskTag(kOtSlotChoice, round).
 struct OtSenderMsg {
@@ -210,20 +201,6 @@ struct WeightRelayMsg {
   std::vector<uint8_t> ciphertext;
   void AppendTo(WireWriter& w) const;
   static Result<WeightRelayMsg> Parse(WireReader& r);
-};
-
-/// Silo -> server: the masked encrypted weighted sum (weighting (b)+(c)).
-/// `dim` is the model dimension; with ciphertext packing enabled the
-/// cipher vector holds ceil(dim / pack_slots) entries, and the server uses
-/// `dim` to size the packed decode (and cross-checks it across silos).
-struct SiloCipherMsg {
-  static constexpr MessageType kType = MessageType::kSiloCipher;
-  uint64_t phase_tag = 0;
-  uint32_t silo_id = 0;
-  uint32_t dim = 0;
-  std::vector<BigInt> cipher;
-  void AppendTo(WireWriter& w) const;
-  static Result<SiloCipherMsg> Parse(WireReader& r);
 };
 
 /// Server -> silo: the decrypted, decoded round aggregate.
@@ -280,13 +257,13 @@ struct RoundAckMsg {
   static Result<RoundAckMsg> Parse(WireReader& r);
 };
 
-/// Either direction: opens a chunked stream (streaming rounds,
-/// src/net/stream.h). `total_count` is the full element count the stream
-/// will carry, `chunk_elems` the per-chunk element ceiling (the last chunk
-/// may be short), `dim` the model dimension (the receiver's decode/fold
-/// context — user count for kEncWeights, unpacked model dim for
-/// kSiloCipher/kMaskedVector). phase_tag matches the message the stream
-/// replaces.
+/// Either direction: opens a chunked stream (src/net/stream.h).
+/// `total_count` is the full element count the stream will carry,
+/// `chunk_elems` the per-chunk element ceiling (the last chunk may be
+/// short), `dim` the receiver's decode/fold context (0 for kEncWeights,
+/// whose receivers size the fold from their own round inputs; the
+/// unpacked model dim for kSiloCipher/kMaskedVector). Round streams carry
+/// phase_tag = MakeMaskTag(kRoundWeighting, round).
 struct StreamBeginMsg {
   static constexpr MessageType kType = MessageType::kStreamBegin;
   uint64_t phase_tag = 0;

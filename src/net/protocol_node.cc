@@ -88,8 +88,9 @@ void ProtocolServer::StartPrefetch(uint64_t round,
   prefetch_thread_ = std::thread([this] {
     obs::TraceSpan span("proto.prefetch_enc", "round",
                         static_cast<int64_t>(prefetch_round_));
-    auto enc = core_.EncryptWeights(prefetch_round_, prefetch_mask_,
-                                    prefetch_pool_);
+    auto enc = core_.EncryptWeightsRange(
+        prefetch_round_, prefetch_mask_, 0,
+        StreamChunkUsers(config_, num_users_), prefetch_pool_);
     if (enc.ok()) {
       prefetch_enc_ = std::move(enc.value());
       prefetch_status_ = Status::Ok();
@@ -399,38 +400,13 @@ Result<Vec> ProtocolServer::RunRoundInternal(
       ULDP_RETURN_IF_ERROR(SendTo(static_cast<int>(relay.to_silo),
                                   frame.value()));
     }
-  } else if (StreamChunkUsers(config_) > 0) {
-    // Streaming: per-user-chunk encrypt -> broadcast -> discard, so the
-    // server never materializes the full enc-weight vector (and the
-    // whole-vector prefetch stays off — it would defeat the RSS bound).
-    ULDP_RETURN_IF_ERROR(StreamEncWeights(round, user_sampled));
   } else {
-    // Pipelined servers serve this round from the round-ahead prefetch
-    // when it matches and immediately start precomputing the next round's
-    // ciphertexts in the background — that work overlaps the silos'
-    // weighting compute and this round's aggregation below.
-    std::unique_ptr<std::vector<BigInt>> prefetched =
-        config_.pipeline ? TakePrefetch(round, user_sampled) : nullptr;
-    std::vector<BigInt> enc_weights;
-    if (prefetched != nullptr) {
-      enc_weights = std::move(*prefetched);
-    } else {
-      auto enc = core_.EncryptWeights(round, user_sampled, *pool_);
-      if (!enc.ok()) return enc.status();
-      enc_weights = std::move(enc.value());
-    }
-    RoundBeginMsg begin;
-    begin.phase_tag = MakeMaskTag(MaskPhase::kRoundWeighting, round);
-    begin.enc_weights = std::move(enc_weights);
-    ULDP_RETURN_IF_ERROR(Broadcast(ToFrame(begin)));
-    if (config_.pipeline && round + 1 < kMaskTagRoundLimit) {
-      StartPrefetch(round + 1, user_sampled);
-    }
+    ULDP_RETURN_IF_ERROR(StreamEncWeights(round, user_sampled));
   }
   EndPhase("enc_weights");
 
-  // Gather the masked silo ciphertexts, folding each cipher (or each
-  // streamed coordinate chunk) into one running product as it is read.
+  // Gather the masked silo ciphertexts, folding each streamed coordinate
+  // chunk into one running product as it is read.
   // The product is exact modular arithmetic, so the fold order never
   // changes a bit, and the server keeps one running aggregate instead of
   // a cipher vector per silo.
@@ -458,7 +434,7 @@ Status ProtocolServer::StreamEncWeights(
   obs::TraceSpan span("proto.stream_enc_weights", "round",
                       static_cast<int64_t>(round));
   const uint64_t tag = MakeMaskTag(MaskPhase::kRoundWeighting, round);
-  const int chunk_users = StreamChunkUsers(config_);
+  const int chunk_users = StreamChunkUsers(config_, num_users_);
   const int window = StreamWindow(config_);
 
   StreamBeginMsg begin;
@@ -495,18 +471,33 @@ Status ProtocolServer::StreamEncWeights(
         ULDP_RETURN_IF_ERROR(drain_ack(s));
       }
     }
-    auto enc = core_.EncryptWeightsRange(round, user_sampled, u0, u1,
-                                         *pool_);
-    if (!enc.ok()) return enc.status();
     StreamChunkMsg chunk;
     chunk.phase_tag = tag;
     chunk.kind = static_cast<uint8_t>(StreamKind::kEncWeights);
     chunk.index = index;
-    chunk.values = std::move(enc.value());
+    // A pipelined server serves chunk 0 from the round-ahead prefetch when
+    // it matches.
+    std::unique_ptr<std::vector<BigInt>> prefetched =
+        index == 0 && config_.pipeline ? TakePrefetch(round, user_sampled)
+                                       : nullptr;
+    if (prefetched != nullptr) {
+      chunk.values = std::move(*prefetched);
+    } else {
+      auto enc = core_.EncryptWeightsRange(round, user_sampled, u0, u1,
+                                           *pool_);
+      if (!enc.ok()) return enc.status();
+      chunk.values = std::move(enc.value());
+    }
     ULDP_RETURN_IF_ERROR(Broadcast(ToFrame(chunk)));
     // `chunk` (the only copy of these ciphertexts) dies here: peak
     // resident enc weights are one chunk regardless of num_users.
     for (int s = 0; s < num_silos_; ++s) ++in_flight[s];
+  }
+  // Every chunk is out: encrypt the next round's first chunk in the
+  // background while the silos fold and upload — the prefetch overlaps
+  // their weighting compute and this round's aggregation.
+  if (config_.pipeline && round + 1 < kMaskTagRoundLimit) {
+    StartPrefetch(round + 1, user_sampled);
   }
   for (int s = 0; s < num_silos_; ++s) {
     while (in_flight[s] > 0) {
@@ -521,46 +512,32 @@ Status ProtocolServer::GatherSiloCipher(int silo, uint64_t round,
                                         uint32_t* dim) {
   obs::TraceSpan span("proto.gather_silo_cipher", "silo", silo);
   const uint64_t tag = MakeMaskTag(MaskPhase::kRoundWeighting, round);
-  const bool streaming = StreamChunkUsers(config_) > 0;
   auto frame = RecvFrom(silo);
   if (!frame.ok()) return frame.status();
-  // Header fields, from a whole SiloCipher frame or a stream's begin frame.
-  SiloCipherMsg whole;
-  StreamBeginMsg begin;
-  if (streaming) {
-    auto msg = FromFrame<StreamBeginMsg>(frame.value());
-    if (!msg.ok()) return msg.status();
-    begin = std::move(msg.value());
-    whole.phase_tag = begin.phase_tag;
-    whole.silo_id = begin.sender_id;
-    whole.dim = begin.dim;
-  } else {
-    auto msg = FromFrame<SiloCipherMsg>(frame.value());
-    if (!msg.ok()) return msg.status();
-    whole = std::move(msg.value());
-  }
-  if (whole.silo_id != static_cast<uint32_t>(silo)) {
+  auto begin = FromFrame<StreamBeginMsg>(frame.value());
+  if (!begin.ok()) return begin.status();
+  if (begin.value().sender_id != static_cast<uint32_t>(silo)) {
     return Status::InvalidArgument("cipher from wrong silo id");
   }
-  ULDP_RETURN_IF_ERROR(
-      CheckPhaseTag(whole.phase_tag, MaskPhase::kRoundWeighting, round));
+  ULDP_RETURN_IF_ERROR(CheckPhaseTag(begin.value().phase_tag,
+                                     MaskPhase::kRoundWeighting, round));
   // The advertised model dimension must match the packed cipher count; a
   // mismatch means the peer runs a different slot layout.
-  const size_t cdim = core_.params().packed.PackedDim(whole.dim);
-  if ((streaming ? begin.total_count : whole.cipher.size()) != cdim) {
+  const uint32_t model_dim = begin.value().dim;
+  const size_t cdim = core_.params().packed.PackedDim(model_dim);
+  if (begin.value().total_count != cdim) {
     return Status::InvalidArgument(
         "silo cipher count inconsistent with model dimension");
   }
   if (silo == 0) {
-    *dim = whole.dim;
+    *dim = model_dim;
     product->assign(cdim, BigInt(1));
-  } else if (whole.dim != *dim) {
+  } else if (model_dim != *dim) {
     return Status::InvalidArgument("silos disagree on the model dimension");
   }
-  if (!streaming) return core_.AccumulateSiloCipher(whole.cipher, product);
 
   auto receiver_or = ChunkStreamReceiver::Create(
-      begin, StreamKind::kSiloCipher, tag, cdim,
+      begin.value(), StreamKind::kSiloCipher, tag, cdim,
       static_cast<uint32_t>(StreamChunkCoords(config_)));
   if (!receiver_or.ok()) return receiver_or.status();
   ChunkStreamReceiver receiver = std::move(receiver_or.value());
@@ -676,24 +653,78 @@ Status SiloClient::UploadCipherStream(Transport& transport, uint64_t round,
       [&]() { return transport.Recv(); });
 }
 
-Status SiloClient::HandleStreamedRound(Transport& transport,
-                                       const Frame& first,
-                                       const RoundInput& input,
-                                       const RoundResultFn& on_result,
-                                       std::thread* premask) {
-  if (StreamChunkUsers(config_) <= 0 || config_.ot_slots > 0) {
-    return Status::InvalidArgument(
-        "unexpected enc-weight stream for this configuration");
+Result<std::vector<BigInt>> SiloClient::HandleWeightRelay(
+    const WeightRelayMsg& relay) {
+  if (relay.from_silo != 0 ||
+      static_cast<int>(relay.to_silo) != silo_id_) {
+    return Status::InvalidArgument("misrouted weight relay");
   }
-  auto begin_or = FromFrame<StreamBeginMsg>(first);
-  if (!begin_or.ok()) return begin_or.status();
-  const StreamBeginMsg& begin = begin_or.value();
-  if (MaskTagPhase(begin.phase_tag) != MaskPhase::kRoundWeighting) {
-    return Status::InvalidArgument("stream begin with wrong phase tag");
+  auto plain = core_->PairStreamXor(0, relay.phase_tag,
+                                    static_cast<uint32_t>(silo_id_),
+                                    relay.ciphertext);
+  if (!plain.ok()) return plain.status();
+  WireReader r(plain.value());
+  std::vector<BigInt> enc_weights;
+  ULDP_RETURN_IF_ERROR(r.BigVec(&enc_weights));
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes in weight relay");
   }
-  const uint64_t round = MaskTagRound(begin.phase_tag);
-  obs::TraceSpan span("silo.stream_round", "round",
-                      static_cast<int64_t>(round));
+  return enc_weights;
+}
+
+Status SiloClient::HandleRound(Transport& transport, const Frame& first,
+                               const RoundInput& input,
+                               const RoundResultFn& on_result,
+                               std::thread* premask) {
+  // The weight delivery's first frame fixes the round: a kEncWeights
+  // stream begin, or (OT mode) the OT sender message or a weight relay.
+  uint64_t round = 0;
+  StreamBeginMsg begin;
+  std::vector<BigInt> ot_weights;
+  const uint16_t type = first.type;
+  if (type == static_cast<uint16_t>(MessageType::kStreamBegin)) {
+    if (config_.ot_slots > 0) {
+      return Status::InvalidArgument("unexpected enc-weight stream in OT mode");
+    }
+    auto msg = FromFrame<StreamBeginMsg>(first);
+    if (!msg.ok()) return msg.status();
+    begin = std::move(msg.value());
+    if (MaskTagPhase(begin.phase_tag) != MaskPhase::kRoundWeighting) {
+      return Status::InvalidArgument("stream begin with wrong phase tag");
+    }
+    round = MaskTagRound(begin.phase_tag);
+  } else if (type == static_cast<uint16_t>(MessageType::kOtSender)) {
+    if (config_.ot_slots <= 0 || silo_id_ != 0) {
+      return Status::InvalidArgument(
+          "unexpected OT sender message for this silo");
+    }
+    auto sender = FromFrame<OtSenderMsg>(first);
+    if (!sender.ok()) return sender.status();
+    if (MaskTagPhase(sender.value().phase_tag) != MaskPhase::kOtSlotChoice) {
+      return Status::InvalidArgument("OT sender with wrong phase tag");
+    }
+    round = MaskTagRound(sender.value().phase_tag);
+    auto enc = HandleOtRound(transport, round, sender.value());
+    if (!enc.ok()) return enc.status();
+    ot_weights = std::move(enc.value());
+  } else if (type == static_cast<uint16_t>(MessageType::kWeightRelay)) {
+    if (config_.ot_slots <= 0 || silo_id_ == 0) {
+      return Status::InvalidArgument("unexpected weight relay for this silo");
+    }
+    auto relay = FromFrame<WeightRelayMsg>(first);
+    if (!relay.ok()) return relay.status();
+    if (MaskTagPhase(relay.value().phase_tag) != MaskPhase::kOtWeightRelay) {
+      return Status::InvalidArgument("weight relay with wrong phase tag");
+    }
+    round = MaskTagRound(relay.value().phase_tag);
+    auto enc = HandleWeightRelay(relay.value());
+    if (!enc.ok()) return enc.status();
+    ot_weights = std::move(enc.value());
+  } else {
+    return Status::InvalidArgument("unexpected message type " +
+                                   std::to_string(type) + " in round loop");
+  }
+  obs::TraceSpan span("silo.round", "round", static_cast<int64_t>(round));
 
   // Round inputs first: the fold needs this silo's deltas and the model
   // dimension before the first chunk lands.
@@ -701,45 +732,53 @@ Status SiloClient::HandleStreamedRound(Transport& transport,
   Vec noise;
   ULDP_RETURN_IF_ERROR(input(round, &deltas, &noise));
   const size_t dim = noise.size();
-  const size_t cdim = core_->params().packed.PackedDim(dim);
-
-  auto receiver_or = ChunkStreamReceiver::Create(
-      begin, StreamKind::kEncWeights, begin.phase_tag,
-      static_cast<size_t>(num_users_),
-      static_cast<uint32_t>(StreamChunkUsers(config_)));
-  if (!receiver_or.ok()) return receiver_or.status();
-  ChunkStreamReceiver receiver = std::move(receiver_or.value());
-
-  std::vector<BigInt> cipher = SiloCore::NewCipherAccumulator(cdim);
-  while (!receiver.Done()) {
-    auto frame = transport.Recv();
-    if (!frame.ok()) return frame.status();
-    if (frame.value().type == static_cast<uint16_t>(MessageType::kError)) {
-      return StatusFromErrorFrame(frame.value(), "server");
+  std::vector<BigInt> cipher = SiloCore::NewCipherAccumulator(
+      core_->params().packed.PackedDim(dim));
+  if (config_.ot_slots > 0) {
+    // The OT exchange delivers the whole fetched vector: one chunk.
+    ULDP_RETURN_IF_ERROR(core_->AccumulateUsersChunk(
+        ot_weights, 0, num_users_, deltas, dim, &cipher, *pool_));
+  } else {
+    auto receiver_or = ChunkStreamReceiver::Create(
+        begin, StreamKind::kEncWeights, begin.phase_tag,
+        static_cast<size_t>(num_users_),
+        static_cast<uint32_t>(StreamChunkUsers(config_, num_users_)));
+    if (!receiver_or.ok()) return receiver_or.status();
+    ChunkStreamReceiver receiver = std::move(receiver_or.value());
+    while (!receiver.Done()) {
+      auto frame = transport.Recv();
+      if (!frame.ok()) return frame.status();
+      if (frame.value().type == static_cast<uint16_t>(MessageType::kError)) {
+        return StatusFromErrorFrame(frame.value(), "server");
+      }
+      auto chunk = FromFrame<StreamChunkMsg>(frame.value());
+      if (!chunk.ok()) return chunk.status();
+      auto ack = receiver.Feed(
+          std::move(chunk.value()),
+          [&](std::vector<BigInt>&& values, size_t offset) -> Status {
+            return core_->AccumulateUsersChunk(
+                values, static_cast<int>(offset),
+                static_cast<int>(offset + values.size()), deltas, dim,
+                &cipher, *pool_);
+          });
+      if (!ack.ok()) return ack.status();
+      ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(ack.value())));
     }
-    auto chunk = FromFrame<StreamChunkMsg>(frame.value());
-    if (!chunk.ok()) return chunk.status();
-    auto ack = receiver.Feed(
-        std::move(chunk.value()),
-        [&](std::vector<BigInt>&& values, size_t offset) -> Status {
-          return core_->AccumulateUsersChunk(
-              values, static_cast<int>(offset),
-              static_cast<int>(offset + values.size()), deltas, dim,
-              &cipher, *pool_);
-        });
-    if (!ack.ok()) return ack.status();
-    ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(ack.value())));
   }
   if (premask->joinable()) premask->join();  // see RunLoop
   ULDP_RETURN_IF_ERROR(core_->FinishRound(round, noise, &cipher, *pool_));
-  ULDP_RETURN_IF_ERROR(
-      UploadCipherStream(transport, round, dim, std::move(cipher)));
-
-  if (config_.pipeline && round + 1 < kMaskTagRoundLimit) {
+  // Start the next round's premask before the upload: the streamed upload
+  // waits for the server's acks, which would otherwise delay it.
+  if (config_.pipeline && config_.ot_slots <= 0 &&
+      round + 1 < kMaskTagRoundLimit) {
     *premask = std::thread([this, round, dim] {
+      // Best-effort: the only failure mode (missing pair keys) is
+      // impossible here, and FinishRound recomputes inline on a miss.
       core_->PrecomputeRoundMasks(round + 1, dim, *pool_).ok();
     });
   }
+  ULDP_RETURN_IF_ERROR(
+      UploadCipherStream(transport, round, dim, std::move(cipher)));
 
   auto frame = transport.Recv();
   if (!frame.ok()) return frame.status();
@@ -867,12 +906,12 @@ Status SiloClient::RunLoop(Transport& transport, const RoundInput& input,
   }
 
   // -- Round loop ----------------------------------------------------------
-  // Pipelining: from its round-r upload on, this silo precomputes its
+  // Pipelining: from its round-r FinishRound on, this silo precomputes its
   // round-r+1 pairwise masks and Enc(0)s on a side thread (the same PRF
   // evaluations and Fork substreams FinishRound would use inline —
-  // bitwise identical), overlapping the server's aggregation and this
-  // silo's next fold, which reads none of that state. Joining right
-  // before FinishRound is the happens-before edge before it is read.
+  // bitwise identical), overlapping its upload, the server's aggregation
+  // and this silo's next fold, which reads none of that state. Joining
+  // right before FinishRound is the happens-before edge before it is read.
   ThreadJoiner premask;
   for (;;) {
     frame = transport.Recv();
@@ -884,127 +923,8 @@ Status SiloClient::RunLoop(Transport& transport, const RoundInput& input,
     if (type == static_cast<uint16_t>(MessageType::kError)) {
       return StatusFromErrorFrame(frame.value(), "server");
     }
-
-    if (type == static_cast<uint16_t>(MessageType::kStreamBegin)) {
-      ULDP_RETURN_IF_ERROR(HandleStreamedRound(transport, frame.value(),
-                                               input, on_result,
-                                               &premask.t));
-      continue;
-    }
-
-    uint64_t round = 0;
-    std::vector<BigInt> enc_weights;
-    if (type == static_cast<uint16_t>(MessageType::kRoundBegin)) {
-      if (config_.ot_slots > 0) {
-        return Status::InvalidArgument(
-            "plain RoundBegin received in OT mode");
-      }
-      if (StreamChunkUsers(config_) > 0) {
-        return Status::InvalidArgument(
-            "plain RoundBegin received in streaming mode");
-      }
-      auto begin = FromFrame<RoundBeginMsg>(frame.value());
-      if (!begin.ok()) return begin.status();
-      if (MaskTagPhase(begin.value().phase_tag) !=
-          MaskPhase::kRoundWeighting) {
-        return Status::InvalidArgument("RoundBegin with wrong phase tag");
-      }
-      round = MaskTagRound(begin.value().phase_tag);
-      enc_weights = std::move(begin.value().enc_weights);
-    } else if (type == static_cast<uint16_t>(MessageType::kOtSender)) {
-      if (config_.ot_slots <= 0 || silo_id_ != 0) {
-        return Status::InvalidArgument(
-            "unexpected OT sender message for this silo");
-      }
-      auto sender = FromFrame<OtSenderMsg>(frame.value());
-      if (!sender.ok()) return sender.status();
-      if (MaskTagPhase(sender.value().phase_tag) !=
-          MaskPhase::kOtSlotChoice) {
-        return Status::InvalidArgument("OT sender with wrong phase tag");
-      }
-      round = MaskTagRound(sender.value().phase_tag);
-      auto enc = HandleOtRound(transport, round, sender.value());
-      if (!enc.ok()) return enc.status();
-      enc_weights = std::move(enc.value());
-    } else if (type == static_cast<uint16_t>(MessageType::kWeightRelay)) {
-      if (config_.ot_slots <= 0 || silo_id_ == 0) {
-        return Status::InvalidArgument(
-            "unexpected weight relay for this silo");
-      }
-      auto relay = FromFrame<WeightRelayMsg>(frame.value());
-      if (!relay.ok()) return relay.status();
-      if (MaskTagPhase(relay.value().phase_tag) !=
-          MaskPhase::kOtWeightRelay) {
-        return Status::InvalidArgument("weight relay with wrong phase tag");
-      }
-      round = MaskTagRound(relay.value().phase_tag);
-      if (relay.value().from_silo != 0 ||
-          static_cast<int>(relay.value().to_silo) != silo_id_) {
-        return Status::InvalidArgument("misrouted weight relay");
-      }
-      auto plain = core_->PairStreamXor(0, relay.value().phase_tag,
-                                        static_cast<uint32_t>(silo_id_),
-                                        relay.value().ciphertext);
-      if (!plain.ok()) return plain.status();
-      WireReader r(plain.value());
-      ULDP_RETURN_IF_ERROR(r.BigVec(&enc_weights));
-      if (!r.AtEnd()) {
-        return Status::InvalidArgument("trailing bytes in weight relay");
-      }
-    } else {
-      return Status::InvalidArgument("unexpected message type " +
-                                     std::to_string(type) +
-                                     " in round loop");
-    }
-
-    // Round computation: the silo's own deltas and noise, then the
-    // encrypted weighted sum with masks.
-    obs::TraceSpan round_span("silo.round", "round",
-                              static_cast<int64_t>(round));
-    std::vector<Vec> deltas;
-    Vec noise;
-    ULDP_RETURN_IF_ERROR(input(round, &deltas, &noise));
-    std::vector<BigInt> cipher =
-        SiloCore::NewCipherAccumulator(core_->params().packed.PackedDim(
-            noise.size()));
-    ULDP_RETURN_IF_ERROR(core_->AccumulateUsersChunk(
-        enc_weights, 0, num_users_, deltas, noise.size(), &cipher, *pool_));
-    premask.Join();  // see above
-    ULDP_RETURN_IF_ERROR(core_->FinishRound(round, noise, &cipher, *pool_));
-    if (StreamChunkUsers(config_) > 0) {
-      // Streaming with OT: the weight distribution is the OT dance
-      // (materialized by construction), but the cipher upload is still
-      // chunked so no frame approaches the transport cap.
-      ULDP_RETURN_IF_ERROR(UploadCipherStream(transport, round, noise.size(),
-                                              std::move(cipher)));
-    } else {
-      SiloCipherMsg cipher_msg;
-      cipher_msg.phase_tag = MakeMaskTag(MaskPhase::kRoundWeighting, round);
-      cipher_msg.silo_id = static_cast<uint32_t>(silo_id_);
-      cipher_msg.dim = static_cast<uint32_t>(noise.size());
-      cipher_msg.cipher = std::move(cipher);
-      ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(cipher_msg)));
-    }
-    if (config_.pipeline && config_.ot_slots <= 0 &&
-        round + 1 < kMaskTagRoundLimit) {
-      const size_t dim = noise.size();
-      premask.t = std::thread([this, round, dim] {
-        // Best-effort: the only failure mode (missing pair keys) is
-        // impossible here, and FinishRound recomputes inline on a miss.
-        core_->PrecomputeRoundMasks(round + 1, dim, *pool_).ok();
-      });
-    }
-
-    frame = transport.Recv();
-    if (!frame.ok()) return frame.status();
-    if (frame.value().type == static_cast<uint16_t>(MessageType::kError)) {
-      return StatusFromErrorFrame(frame.value(), "server");
-    }
-    auto result = FromFrame<RoundResultMsg>(frame.value());
-    if (!result.ok()) return result.status();
-    ULDP_RETURN_IF_ERROR(CheckPhaseTag(result.value().phase_tag,
-                                       MaskPhase::kRoundWeighting, round));
-    if (on_result) on_result(round, result.value().aggregate);
+    ULDP_RETURN_IF_ERROR(
+        HandleRound(transport, frame.value(), input, on_result, &premask.t));
   }
 }
 

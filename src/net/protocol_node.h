@@ -14,22 +14,25 @@
 //   silo 0: -> SeedShare x(N-1)  others: <- SeedShare   (server relays)
 //   -> BlindedHistogram          <- SetupAck
 //   per round:
-//     OT off:  <- RoundBegin
+//     OT off:  <- StreamBegin{kEncWeights}
+//              (<- StreamChunk  -> StreamAck) per user chunk
 //     OT on:   silo 0: <- OtSender -> OtReceiver <- OtSlots
 //                      -> WeightRelay x(N-1)
 //              others: <- WeightRelay               (server relays)
-//     -> SiloCipher              <- RoundResult
+//     -> StreamBegin{kSiloCipher}
+//     (-> StreamChunk  <- StreamAck) per coordinate chunk
+//     <- RoundResult
 //   <- Shutdown
 //
-// Streaming mode (config.stream_chunk_users > 0): the monolithic
-// RoundBegin and SiloCipher frames are replaced by chunked streams with
-// windowed-credit flow control (net/stream.h). The server encrypts
-// weights one user-chunk at a time and discards each chunk once acked;
-// silos fold each chunk into their cipher accumulator on arrival
-// (SiloCore::AccumulateUsersChunk) and upload the masked cipher in
+// Every round streams through chunked frames with windowed-credit flow
+// control (net/stream.h). The server encrypts weights one user chunk at a
+// time (config.stream_chunk_users; 0 = one chunk holding every user) and
+// discards each chunk once acked; silos fold each chunk into their cipher
+// accumulator on arrival (SiloCore::AccumulateUsersChunk; an OT round's
+// fetched vector folds as one chunk) and upload the masked cipher in
 // coordinate chunks the server folds straight into the aggregate product
 // — so a round's peak resident ciphertexts are O(chunk), independent of
-// the user count, and bitwise identical to the materializing path.
+// the user count, and any chunking yields bitwise-identical aggregates.
 //
 // All server-side receives run through a FrameMux (net/mux.h): over TCP
 // a few epoll event-loop threads serve every connection, and mux
@@ -95,22 +98,22 @@ class ProtocolServer {
   /// mode, exactly like the in-process WeightingRound. On failure every
   /// silo is told (Error frame) so no client is left blocked in Recv.
   ///
-  /// With config.pipeline set (and OT off), round r+1's encrypted weights
-  /// are precomputed on a background thread while round r's silo ciphers
-  /// are gathered and aggregated — the randomizers come from the same
-  /// Fork(round, user) substreams either way, so pipelined and lockstep
-  /// runs are bitwise identical. The prefetch assumes the sampling mask is
-  /// unchanged; RunRound discards a mismatched prefetch, encrypts inline,
-  /// and stops speculating after repeated misses (a driver that
-  /// re-samples every round would otherwise waste a full encryption sweep
-  /// per round).
+  /// With config.pipeline set (and OT off), round r+1's first enc-weight
+  /// chunk is precomputed on a background thread while round r's silo
+  /// ciphers are gathered and aggregated — the randomizers come from the
+  /// same Fork(round, user) substreams either way, so pipelined and
+  /// lockstep runs are bitwise identical, and only one chunk of
+  /// ciphertexts is ever resident ahead. The prefetch assumes the sampling
+  /// mask is unchanged; RunRound discards a mismatched prefetch, encrypts
+  /// inline, and stops speculating after repeated misses (a driver that
+  /// re-samples every round would otherwise waste an encryption sweep per
+  /// round).
   ///
-  /// Every configuration gathers the silo ciphers the same way: the server
-  /// reads the silos in a plain loop (the FrameMux receives from all of
-  /// them concurrently) and folds each cipher, or each streamed chunk,
-  /// into one running product as it is read (ServerCore::
-  /// AccumulateSiloCipher / AccumulateSiloCipherRange). The product is
-  /// exact, so the fold order never changes the aggregate.
+  /// The server reads the silos' cipher streams in a plain loop (the
+  /// FrameMux receives from all of them concurrently) and folds each
+  /// streamed chunk into one running product as it is read
+  /// (ServerCore::AccumulateSiloCipherRange). The product is exact, so the
+  /// fold order never changes the aggregate.
   Result<Vec> RunRound(uint64_t round, const std::vector<bool>& user_sampled);
 
   /// Encrypted-weight rounds served from the pipeline prefetch.
@@ -132,23 +135,25 @@ class ProtocolServer {
   Status RunSetupInternal();
   Result<Vec> RunRoundInternal(uint64_t round,
                                const std::vector<bool>& user_sampled);
-  /// Streaming enc-weight distribution: encrypts one user chunk at a
-  /// time, broadcasts it, and keeps at most StreamWindow(config) chunks
-  /// unacknowledged per silo before the chunk buffer is dropped.
+  /// Enc-weight distribution (OT off): encrypts one user chunk at a time
+  /// (chunk 0 from the pipeline prefetch when it matches), broadcasts it,
+  /// and keeps at most StreamWindow(config) chunks unacknowledged per silo
+  /// before the chunk buffer is dropped. A pipelined server starts the
+  /// next round's prefetch once the last chunk is out.
   Status StreamEncWeights(uint64_t round,
                           const std::vector<bool>& user_sampled);
-  /// Reads one silo's masked cipher — a whole SiloCipher frame, or a
-  /// coordinate-chunk stream (acking each chunk) when streaming — and
-  /// folds it into `product`. Silo 0 fixes `*dim` and sizes `product`;
-  /// later silos must announce the same model dimension.
+  /// Reads one silo's masked cipher stream, acking each coordinate chunk,
+  /// and folds it into `product`. Silo 0 fixes `*dim` and sizes
+  /// `product`; later silos must announce the same model dimension.
   Status GatherSiloCipher(int silo, uint64_t round,
                           std::vector<BigInt>* product, uint32_t* dim);
-  /// Joins a pending enc-weight prefetch; returns its ciphertexts when it
+  /// Joins a pending first-chunk prefetch; returns its ciphertexts when it
   /// matches (round, mask) and was clean, null otherwise.
   std::unique_ptr<std::vector<BigInt>> TakePrefetch(
       uint64_t round, const std::vector<bool>& user_sampled);
-  /// Starts the round-`round` enc-weight prefetch on a background thread
-  /// (runs serially there — the main pool keeps driving the live round).
+  /// Starts encrypting round `round`'s first enc-weight chunk on a
+  /// background thread (runs serially there — the main pool keeps driving
+  /// the live round).
   void StartPrefetch(uint64_t round, const std::vector<bool>& user_sampled);
   Status SendTo(int silo, const Frame& frame);
   /// Receives the next frame from `silo`, turning Error frames into the
@@ -179,7 +184,7 @@ class ProtocolServer {
   double phase_time_start_ = 0.0;
 
   // Pipeline prefetch state (config_.pipeline). The prefetch thread runs
-  // EncryptWeights inline on itself (a 1-thread pool spawns no workers),
+  // EncryptWeightsRange inline on itself (a 1-thread pool spawns no workers),
   // touching only plaintext-independent randomizer state, while the main
   // thread's concurrent work on the round is read-only w.r.t. that state;
   // the join in TakePrefetch is the happens-before edge before anyone
@@ -222,18 +227,22 @@ class SiloClient {
  private:
   Status RunLoop(Transport& transport, const RoundInput& input,
                  const RoundResultFn& on_result);
+  /// OT weight delivery, receiver silo: runs the OT exchange, relays the
+  /// fetched vector to the peers, and returns it.
   Result<std::vector<BigInt>> HandleOtRound(Transport& transport,
                                             uint64_t round,
                                             const OtSenderMsg& sender_msg);
-  /// One full streamed round (config.stream_chunk_users > 0, OT off):
-  /// folds enc-weight chunks as they arrive, finishes the masked cipher,
-  /// uploads it as a coordinate-chunk stream, and receives the round
-  /// result. Joins the premask prefetch on `*premask` before FinishRound
-  /// and starts the next round's when pipelining.
-  Status HandleStreamedRound(Transport& transport, const Frame& first,
-                             const RoundInput& input,
-                             const RoundResultFn& on_result,
-                             std::thread* premask);
+  /// OT weight delivery, other silos: decrypts the relayed vector.
+  Result<std::vector<BigInt>> HandleWeightRelay(const WeightRelayMsg& relay);
+  /// One weighting round from its first frame: folds the enc-weight
+  /// chunks of a kEncWeights stream as they arrive (or, in OT mode, the
+  /// fetched vector as one chunk), then FinishRound, the cipher upload and
+  /// the round result. Joins the premask prefetch on `*premask` before
+  /// FinishRound and, when pipelining, starts the next round's right
+  /// after it.
+  Status HandleRound(Transport& transport, const Frame& first,
+                     const RoundInput& input, const RoundResultFn& on_result,
+                     std::thread* premask);
   /// Uploads this silo's masked cipher as a chunked kSiloCipher stream.
   Status UploadCipherStream(Transport& transport, uint64_t round,
                             size_t model_dim, std::vector<BigInt> cipher);

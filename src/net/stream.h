@@ -1,9 +1,9 @@
 // Chunked BigInt-vector streams with windowed-credit flow control — the
-// wire discipline behind memory-bounded streaming rounds
+// wire discipline behind memory-bounded weighting rounds
 // (ProtocolConfig::stream_chunk_users).
 //
-// A stream replaces one monolithic frame (RoundBegin's enc-weight vector,
-// SiloCipher's masked cipher, a MaskedVector payload) with:
+// A stream ships one vector (a round's enc-weight vector, a silo's masked
+// cipher, a MaskedVector payload) as:
 //
 //   sender                                receiver
 //   ------                                --------

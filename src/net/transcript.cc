@@ -16,7 +16,7 @@ namespace net {
 namespace {
 
 /// Transcript format version; bump on any layout change.
-constexpr uint16_t kTranscriptFormatVersion = 1;
+constexpr uint16_t kTranscriptFormatVersion = 2;
 constexpr uint8_t kMagic[4] = {'U', 'L', 'T', 'R'};
 
 void AppendDigest(WireWriter& w, const Sha256Digest& d) {
@@ -43,7 +43,6 @@ void AppendMeta(WireWriter& w, const TranscriptMeta& m) {
   w.U32(m.ot_slots);
   w.F64(m.ot_sample_rate);
   w.U32(m.ot_group_bits);
-  w.U8(m.cache_enc_weights);
   w.U32(m.pack_slots);
   w.F64(m.pack_clip);
   w.U32(m.stream_chunk_users);
@@ -72,7 +71,6 @@ Status ParseMeta(WireReader& r, TranscriptMeta* m) {
   ULDP_RETURN_IF_ERROR(r.U32(&m->ot_slots));
   ULDP_RETURN_IF_ERROR(r.F64(&m->ot_sample_rate));
   ULDP_RETURN_IF_ERROR(r.U32(&m->ot_group_bits));
-  ULDP_RETURN_IF_ERROR(r.U8(&m->cache_enc_weights));
   ULDP_RETURN_IF_ERROR(r.U32(&m->pack_slots));
   ULDP_RETURN_IF_ERROR(r.F64(&m->pack_clip));
   ULDP_RETURN_IF_ERROR(r.U32(&m->stream_chunk_users));
@@ -268,7 +266,6 @@ ProtocolConfig TranscriptMeta::ToProtocolConfig() const {
   config.ot_slots = static_cast<int>(ot_slots);
   config.ot_sample_rate = ot_sample_rate;
   config.ot_group_bits = static_cast<int>(ot_group_bits);
-  config.cache_enc_weights = cache_enc_weights != 0;
   config.pack_slots = static_cast<int>(pack_slots);
   config.pack_clip = pack_clip;
   config.stream_chunk_users = static_cast<int>(stream_chunk_users);
@@ -295,7 +292,6 @@ TranscriptMeta TranscriptMeta::FromProtocolConfig(
   m.ot_slots = static_cast<uint32_t>(config.ot_slots);
   m.ot_sample_rate = config.ot_sample_rate;
   m.ot_group_bits = static_cast<uint32_t>(config.ot_group_bits);
-  m.cache_enc_weights = config.cache_enc_weights ? 1 : 0;
   m.pack_slots = static_cast<uint32_t>(config.pack_slots);
   m.pack_clip = config.pack_clip;
   m.stream_chunk_users = static_cast<uint32_t>(config.stream_chunk_users);

@@ -83,7 +83,6 @@ struct TranscriptMeta {
   uint32_t ot_slots = 0;
   double ot_sample_rate = 1.0;
   uint32_t ot_group_bits = 384;
-  uint8_t cache_enc_weights = 0;
   uint32_t pack_slots = 1;
   double pack_clip = 64.0;
   uint32_t stream_chunk_users = 0;

@@ -5,7 +5,7 @@
 //   offset  size  field
 //   ------  ----  -----------------------------------------------
 //   0       4     magic "ULDP"
-//   4       2     wire version (little-endian, currently 1)
+//   4       2     wire version (little-endian, currently 2)
 //   6       2     message type (net/messages.h MessageType)
 //   8       4     payload length in bytes (<= kMaxFramePayload)
 //   12      len   payload (message-specific, see WireWriter/WireReader)
@@ -32,7 +32,7 @@ namespace uldp {
 namespace net {
 
 /// Wire protocol version; bump on any incompatible framing/codec change.
-constexpr uint16_t kWireVersion = 1;
+constexpr uint16_t kWireVersion = 2;
 /// Frame header size in bytes (magic + version + type + payload length).
 constexpr size_t kFrameHeaderSize = 12;
 /// Hard upper bound on a single frame's payload. Large enough for a full

@@ -1,12 +1,15 @@
-// Streaming-round invariants: chunked rounds are bitwise-identical to the
-// materializing path over every transport, and the chunk-stream state
-// machine rejects every malformed sequence — gaps, duplicates, replays,
-// corrupted frames, wrong phases — instead of folding garbage. Also
-// covers the operational edge: a silo hanging mid-stream trips the
-// server's recv deadline rather than wedging the round.
+// Streaming-round invariants: rounds streamed in several chunks are
+// bitwise-identical to one-chunk rounds over every transport, and the
+// chunk-stream state machine rejects every malformed sequence — gaps,
+// duplicates, replays, corrupted frames, wrong phases — instead of folding
+// garbage. Also covers the operational edges: a silo hanging mid-stream
+// trips the server's recv deadline rather than wedging the round, and a
+// hostile peer's frames fail the round by name with every party
+// returning.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <future>
 #include <thread>
 
@@ -55,13 +58,14 @@ ProtocolConfig OtTestConfig() {
 }
 
 /// Reference: the in-process simulation on the same config and inputs.
-std::vector<Vec> RunInProcess(const ProtocolConfig& config) {
+std::vector<Vec> RunInProcess(const ProtocolConfig& config,
+                              int rounds = kRounds) {
   DemoInputs in = MakeDemoInputs(kInputSeed, kSilos, kUsers, kDim);
   PrivateWeightingProtocol protocol(config, kSilos, kUsers);
   EXPECT_TRUE(protocol.Setup(in.histograms).ok());
   std::vector<Vec> outs;
   std::vector<bool> mask(kUsers, true);
-  for (int r = 0; r < kRounds; ++r) {
+  for (int r = 0; r < rounds; ++r) {
     auto out = protocol.WeightingRound(r, in.deltas, in.noise, mask);
     EXPECT_TRUE(out.ok()) << out.status().ToString();
     outs.push_back(out.value());
@@ -69,10 +73,13 @@ std::vector<Vec> RunInProcess(const ProtocolConfig& config) {
   return outs;
 }
 
+/// Distributed run; `prefetch_hits`, when set, receives the server's
+/// pipeline prefetch hits.
 std::vector<Vec> RunDistributed(
     const ProtocolConfig& config,
     std::vector<std::unique_ptr<Transport>> server_ends,
-    std::vector<std::unique_ptr<Transport>> silo_ends) {
+    std::vector<std::unique_ptr<Transport>> silo_ends, int rounds = kRounds,
+    uint64_t* prefetch_hits = nullptr) {
   std::vector<std::thread> silo_threads;
   std::vector<Status> silo_status(kSilos, Status::Ok());
   for (int s = 0; s < kSilos; ++s) {
@@ -89,7 +96,7 @@ std::vector<Vec> RunDistributed(
   EXPECT_TRUE(server.RunSetup().ok());
   std::vector<Vec> outs;
   std::vector<bool> mask(kUsers, true);
-  for (int r = 0; r < kRounds; ++r) {
+  for (int r = 0; r < rounds; ++r) {
     auto out = server.RunRound(r, mask);
     EXPECT_TRUE(out.ok()) << out.status().ToString();
     outs.push_back(out.value());
@@ -100,18 +107,21 @@ std::vector<Vec> RunDistributed(
     EXPECT_TRUE(silo_status[s].ok()) << "silo " << s << ": "
                                      << silo_status[s].ToString();
   }
+  if (prefetch_hits != nullptr) *prefetch_hits = server.prefetch_hits();
   return outs;
 }
 
-std::vector<Vec> RunOverChannels(const ProtocolConfig& config) {
+std::vector<Vec> RunOverChannels(const ProtocolConfig& config,
+                                 int rounds = kRounds,
+                                 uint64_t* prefetch_hits = nullptr) {
   std::vector<std::unique_ptr<Transport>> server_ends, silo_ends;
   for (int s = 0; s < kSilos; ++s) {
     auto [a, b] = ChannelTransport::CreatePair();
     server_ends.push_back(std::move(a));
     silo_ends.push_back(std::move(b));
   }
-  return RunDistributed(config, std::move(server_ends),
-                        std::move(silo_ends));
+  return RunDistributed(config, std::move(server_ends), std::move(silo_ends),
+                        rounds, prefetch_hits);
 }
 
 std::vector<Vec> RunOverTcp(const ProtocolConfig& config) {
@@ -131,10 +141,10 @@ std::vector<Vec> RunOverTcp(const ProtocolConfig& config) {
                         std::move(silo_ends));
 }
 
-TEST(NetStreamTest, StreamedRoundsBitwiseMatchMaterializedEverywhere) {
-  // The materializing in-process simulation is the single reference; the
-  // streamed path must reproduce it bit for bit in-process, over
-  // channels, and over loopback TCP, at every thread count.
+TEST(NetStreamTest, ChunkedRoundsBitwiseMatchOneChunkEverywhere) {
+  // The one-chunk in-process simulation is the single reference; rounds
+  // streamed in several chunks must reproduce it bit for bit in-process,
+  // over channels, and over loopback TCP, at every thread count.
   std::vector<Vec> reference = RunInProcess(TestConfig());
   ASSERT_EQ(reference.size(), static_cast<size_t>(kRounds));
 
@@ -145,27 +155,39 @@ TEST(NetStreamTest, StreamedRoundsBitwiseMatchMaterializedEverywhere) {
     EXPECT_EQ(RunOverChannels(config), reference) << threads << " threads";
     EXPECT_EQ(RunOverTcp(config), reference) << threads << " threads";
   }
-  // Pipelined silos precompute round r+1's masks and Enc(0)s while they
-  // fold round r+1's first chunks.
-  ProtocolConfig pipelined = StreamTestConfig();
-  pipelined.pipeline = true;
-  EXPECT_EQ(RunOverChannels(pipelined), reference);
 }
 
-TEST(NetStreamTest, StreamedOtModeBitwiseMatchesMaterialized) {
-  // OT mode keeps the weight distribution materialized (it IS the OT
-  // dance) but streams the cipher upload; aggregates must not move.
+TEST(NetStreamTest, PipelinedChunkedRoundsServeFirstChunkFromPrefetch) {
+  // A pipelined server encrypts round r+1's first enc-weight chunk while
+  // round r's ciphers are gathered, and pipelined silos precompute round
+  // r+1's masks and Enc(0)s from their round-r FinishRound. Every round
+  // after the first must take chunk 0 from the prefetch, and the
+  // aggregates must not move by a bit.
+  constexpr int kPipelinedRounds = 3;
+  std::vector<Vec> reference = RunInProcess(TestConfig(), kPipelinedRounds);
+  ProtocolConfig pipelined = StreamTestConfig();
+  pipelined.pipeline = true;
+  uint64_t hits = 0;
+  EXPECT_EQ(RunOverChannels(pipelined, kPipelinedRounds, &hits), reference);
+  EXPECT_EQ(hits, static_cast<uint64_t>(kPipelinedRounds - 1));
+}
+
+TEST(NetStreamTest, ChunkedOtModeBitwiseMatchesOneChunk) {
+  // OT mode delivers the fetched weight vector whole (it IS the OT dance)
+  // and folds it as one chunk, but streams the cipher upload in several
+  // coordinate chunks; aggregates must not move.
   std::vector<Vec> reference = RunInProcess(OtTestConfig());
   ProtocolConfig config = OtTestConfig();
   config.stream_chunk_users = 2;
   config.stream_chunk_coords = 3;
+  EXPECT_EQ(RunInProcess(config), reference);
   EXPECT_EQ(RunOverChannels(config), reference);
 }
 
 TEST(NetStreamTest, StreamedPackedRoundsBitwiseMatchUnpacked) {
   // Packing shrinks the cipher vector (cdim = ceil(dim/slots) = 1 here,
   // below chunk_coords — a one-chunk stream), and must still decode to
-  // the exact unpacked materialized aggregates.
+  // the exact unpacked one-chunk aggregates.
   std::vector<Vec> reference = RunInProcess(TestConfig());
   ProtocolConfig config = StreamTestConfig();
   config.pack_slots = 4;
@@ -176,11 +198,17 @@ TEST(NetStreamTest, StreamedPackedRoundsBitwiseMatchUnpacked) {
 TEST(NetStreamTest, StreamKnobsDigestSeparation) {
   // Chunk geometry is part of the wire contract (both sides validate
   // chunk sizes against it), so it must split the digest; the send window
-  // is sender-local flow control and must NOT.
+  // is sender-local flow control and must NOT. The digest covers the
+  // effective geometry: 0 and any chunk of at least every user frame a
+  // round identically, as one chunk.
   ProtocolConfig config = TestConfig();
   ProtocolConfig chunked = StreamTestConfig();
   EXPECT_NE(ProtocolWireDigest(config, kSilos, kUsers),
             ProtocolWireDigest(chunked, kSilos, kUsers));
+  ProtocolConfig all_users = TestConfig();
+  all_users.stream_chunk_users = kUsers;
+  EXPECT_EQ(ProtocolWireDigest(config, kSilos, kUsers),
+            ProtocolWireDigest(all_users, kSilos, kUsers));
   ProtocolConfig coords = StreamTestConfig();
   coords.stream_chunk_coords = 2;
   EXPECT_NE(ProtocolWireDigest(chunked, kSilos, kUsers),
@@ -495,6 +523,139 @@ TEST(NetStreamTest, SiloHangingMidStreamHitsRecvDeadline) {
   release.set_value();
   for (auto& t : silo_threads) t.join();
   for (int s = 0; s < kSilos; ++s) {
+    EXPECT_FALSE(silo_status[s].ok()) << "silo " << s;
+  }
+}
+
+/// A peer whose wire is rewritten in flight: `on_send` edits each frame
+/// this end sends, `on_recv` each frame it receives — a hostile or broken
+/// silo for failure-path tests.
+class RewritingTransport : public Transport {
+ public:
+  using Rewrite = std::function<void(Frame*)>;
+  RewritingTransport(std::unique_ptr<Transport> inner, Rewrite on_send,
+                     Rewrite on_recv)
+      : inner_(std::move(inner)),
+        on_send_(std::move(on_send)),
+        on_recv_(std::move(on_recv)) {}
+
+  Status Send(const Frame& frame) override {
+    Frame out = frame;
+    if (on_send_) on_send_(&out);
+    return inner_->Send(out);
+  }
+  Result<Frame> Recv() override {
+    auto frame = inner_->Recv();
+    if (frame.ok() && on_recv_) on_recv_(&frame.value());
+    return frame;
+  }
+  void Close() override { inner_->Close(); }
+  void Interrupt() override { inner_->Interrupt(); }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  Rewrite on_send_, on_recv_;
+};
+
+/// Runs setup plus one round over channels with silo 0's end rewritten,
+/// and returns the round's status; every silo must return (with an error)
+/// once the round fails — a hang here times the test out.
+Status RunRoundWithHostileSilo0(RewritingTransport::Rewrite on_send,
+                                RewritingTransport::Rewrite on_recv,
+                                std::vector<Status>* silo_status) {
+  ProtocolConfig config = StreamTestConfig();
+  std::vector<std::unique_ptr<Transport>> server_ends, silo_ends;
+  for (int s = 0; s < kSilos; ++s) {
+    auto [a, b] = ChannelTransport::CreatePair();
+    server_ends.push_back(std::move(a));
+    if (s == 0) {
+      silo_ends.push_back(std::make_unique<RewritingTransport>(
+          std::move(b), on_send, on_recv));
+    } else {
+      silo_ends.push_back(std::move(b));
+    }
+  }
+  silo_status->assign(kSilos, Status::Ok());
+  std::vector<std::thread> silo_threads;
+  for (int s = 0; s < kSilos; ++s) {
+    silo_threads.emplace_back([&, s] {
+      (*silo_status)[s] = RunDemoSilo(config, s, kSilos, kUsers, kDim,
+                                      kInputSeed, *silo_ends[s]);
+    });
+  }
+  Status round = Status::Ok();
+  {
+    ProtocolServer server(config, kSilos, kUsers);
+    for (auto& end : server_ends) {
+      if (round.ok()) round = server.AddConnection(std::move(end));
+    }
+    if (round.ok()) round = server.RunSetup();
+    EXPECT_TRUE(round.ok()) << round.ToString();
+    if (round.ok()) {
+      std::vector<bool> mask(kUsers, true);
+      auto out = server.RunRound(0, mask);
+      round = out.ok() ? Status::Ok() : out.status();
+    }
+  }
+  for (auto& t : silo_threads) t.join();
+  return round;
+}
+
+TEST(NetStreamTest, RewrittenSiloCipherDimFailsTheRoundByName) {
+  // Silo 0's cipher stream announces a model dimension whose packed
+  // cipher count disagrees with the stream's element count: the server
+  // must refuse to fold it, and the whole cohort must hear the failure.
+  std::vector<Status> silo_status;
+  Status round = RunRoundWithHostileSilo0(
+      [](Frame* frame) {
+        if (frame->type != static_cast<uint16_t>(MessageType::kStreamBegin)) {
+          return;
+        }
+        auto begin = FromFrame<StreamBeginMsg>(*frame);
+        ASSERT_TRUE(begin.ok());
+        if (begin.value().kind !=
+            static_cast<uint8_t>(StreamKind::kSiloCipher)) {
+          return;
+        }
+        begin.value().dim += 1;
+        *frame = ToFrame(begin.value());
+      },
+      nullptr, &silo_status);
+  EXPECT_FALSE(round.ok());
+  EXPECT_NE(round.message().find(
+                "silo cipher count inconsistent with model dimension"),
+            std::string::npos)
+      << round.ToString();
+  for (int s = 0; s < kSilos; ++s) {
+    EXPECT_FALSE(silo_status[s].ok()) << "silo " << s;
+  }
+}
+
+TEST(NetStreamTest, RetiredRoundBeginTypeFailsTheSiloByName) {
+  // Message type 8 carried the whole-vector enc weights before every
+  // round streamed; a silo that receives one must fail by name, report
+  // it to the server, and leave no party blocked.
+  bool rewritten = false;
+  std::vector<Status> silo_status;
+  Status round = RunRoundWithHostileSilo0(
+      nullptr,
+      [&rewritten](Frame* frame) {
+        if (!rewritten &&
+            frame->type == static_cast<uint16_t>(MessageType::kStreamBegin)) {
+          frame->type = 8;
+          rewritten = true;
+        }
+      },
+      &silo_status);
+  EXPECT_TRUE(rewritten);
+  EXPECT_NE(silo_status[0].message().find("unexpected message type 8"),
+            std::string::npos)
+      << silo_status[0].ToString();
+  EXPECT_FALSE(round.ok());
+  EXPECT_NE(round.message().find("unexpected message type 8"),
+            std::string::npos)
+      << round.ToString();
+  for (int s = 1; s < kSilos; ++s) {
     EXPECT_FALSE(silo_status[s].ok()) << "silo " << s;
   }
 }

@@ -226,15 +226,38 @@ TEST(MessageRoundTripTest, HistogramAndCiphers) {
   hist.values = BoundaryBigInts();
   EXPECT_EQ(RoundTrip(hist).values, hist.values);
 
-  SiloCipherMsg cipher;
-  cipher.phase_tag = MakeMaskTag(MaskPhase::kRoundWeighting, 3);
-  cipher.silo_id = 2;
-  cipher.dim = 32;  // model dim; packed frames carry fewer ciphertexts
-  cipher.cipher = BoundaryBigInts();
-  auto cipher_back = RoundTrip(cipher);
-  EXPECT_EQ(cipher_back.phase_tag, cipher.phase_tag);
-  EXPECT_EQ(cipher_back.dim, cipher.dim);
-  EXPECT_EQ(cipher_back.cipher, cipher.cipher);
+  StreamBeginMsg begin;
+  begin.phase_tag = MakeMaskTag(MaskPhase::kRoundWeighting, 3);
+  begin.kind = static_cast<uint8_t>(StreamKind::kSiloCipher);
+  begin.sender_id = 2;
+  begin.total_count = 8;
+  begin.chunk_elems = 3;
+  begin.dim = 32;  // model dim; packed streams carry fewer ciphertexts
+  auto begin_back = RoundTrip(begin);
+  EXPECT_EQ(begin_back.phase_tag, begin.phase_tag);
+  EXPECT_EQ(begin_back.kind, begin.kind);
+  EXPECT_EQ(begin_back.sender_id, begin.sender_id);
+  EXPECT_EQ(begin_back.total_count, begin.total_count);
+  EXPECT_EQ(begin_back.chunk_elems, begin.chunk_elems);
+  EXPECT_EQ(begin_back.dim, begin.dim);
+
+  StreamChunkMsg chunk;
+  chunk.phase_tag = begin.phase_tag;
+  chunk.kind = begin.kind;
+  chunk.index = 2;
+  chunk.values = BoundaryBigInts();
+  auto chunk_back = RoundTrip(chunk);
+  EXPECT_EQ(chunk_back.index, chunk.index);
+  EXPECT_EQ(chunk_back.values, chunk.values);
+
+  StreamAckMsg ack;
+  ack.phase_tag = begin.phase_tag;
+  ack.kind = begin.kind;
+  ack.index = 2;
+  ack.credits = 1;
+  auto ack_back = RoundTrip(ack);
+  EXPECT_EQ(ack_back.index, ack.index);
+  EXPECT_EQ(ack_back.credits, ack.credits);
 
   MaskedVectorMsg masked;
   masked.phase_tag = MakeMaskTag(MaskPhase::kHistogramBlind, 0);
@@ -244,13 +267,6 @@ TEST(MessageRoundTripTest, HistogramAndCiphers) {
 }
 
 TEST(MessageRoundTripTest, RoundMessages) {
-  RoundBeginMsg begin;
-  begin.phase_tag = MakeMaskTag(MaskPhase::kRoundWeighting, 17);
-  begin.enc_weights = BoundaryBigInts();
-  auto begin_back = RoundTrip(begin);
-  EXPECT_EQ(begin_back.phase_tag, begin.phase_tag);
-  EXPECT_EQ(begin_back.enc_weights, begin.enc_weights);
-
   RoundResultMsg result;
   result.phase_tag = MakeMaskTag(MaskPhase::kRoundWeighting, 17);
   result.aggregate = {1.0, -2.5, 0.0, 3.25e-9};
@@ -320,36 +336,38 @@ TEST(MessageDecodeTest, CorruptedNestedCountsRejected) {
   EXPECT_FALSE(FromFrame<OtSlotsMsg>(frame).ok());
 }
 
-TEST(MessageDecodeTest, CorruptedPackedCipherFrameRejected) {
-  // A packed silo-cipher frame whose advertised model dim was tampered
-  // with still parses at the codec layer (dim is just a u32), but a
-  // truncated cipher vector must fail before any BigInt is half-read.
-  SiloCipherMsg cipher;
-  cipher.phase_tag = MakeMaskTag(MaskPhase::kRoundWeighting, 1);
-  cipher.silo_id = 0;
-  cipher.dim = 8;           // model dim 8 packed at k=4 ...
-  cipher.cipher.assign(2, BigInt(1) << 100);  // ... into 2 ciphertexts
-  Frame frame = ToFrame(cipher);
+TEST(MessageDecodeTest, CorruptedStreamChunkFrameRejected) {
+  // A silo-cipher chunk whose value count was truncated or inflated must
+  // fail at parse time, before any BigInt is half-read or folded.
+  StreamChunkMsg chunk;
+  chunk.phase_tag = MakeMaskTag(MaskPhase::kRoundWeighting, 1);
+  chunk.kind = static_cast<uint8_t>(StreamKind::kSiloCipher);
+  chunk.index = 0;
+  chunk.values.assign(2, BigInt(1) << 100);
+  Frame frame = ToFrame(chunk);
+  ASSERT_TRUE(FromFrame<StreamChunkMsg>(frame).ok());
 
-  // Truncate mid-vector: the trailing-bytes/underflow checks must fire.
+  // Layout: u64 tag (8) + u8 kind (1) + u32 index (4) + u32 count (4).
+  constexpr size_t kCountOffset = 13;
+  // Truncated count: one value fewer than the payload holds leaves
+  // trailing bytes.
   Frame truncated = frame;
-  truncated.payload.resize(truncated.payload.size() - 5);
-  EXPECT_FALSE(FromFrame<SiloCipherMsg>(truncated).ok());
+  truncated.payload[kCountOffset] = 1;
+  EXPECT_FALSE(FromFrame<StreamChunkMsg>(truncated).ok());
 
-  // Inflate the vector count beyond the payload.
+  // Inflated count: more values than the payload could ever hold.
   Frame inflated = frame;
-  // Layout: u64 tag (8) + u32 silo (4) + u32 dim (4) + u32 count.
-  inflated.payload[16] = 0xFF;
-  inflated.payload[17] = 0xFF;
-  EXPECT_FALSE(FromFrame<SiloCipherMsg>(inflated).ok());
+  inflated.payload[kCountOffset] = 0xFF;
+  inflated.payload[kCountOffset + 1] = 0xFF;
+  EXPECT_FALSE(FromFrame<StreamChunkMsg>(inflated).ok());
+  Frame one_more = frame;
+  one_more.payload[kCountOffset] = 3;
+  EXPECT_FALSE(FromFrame<StreamChunkMsg>(one_more).ok());
 
-  // Flipping a dim byte still parses here — the server's slot-layout
-  // cross-check (PackedDim(dim) == cipher count) is what rejects it.
-  Frame bad_dim = frame;
-  bad_dim.payload[12] ^= 0x01;
-  auto parsed = FromFrame<SiloCipherMsg>(bad_dim);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_NE(parsed.value().dim, cipher.dim);
+  // A payload cut mid-vector fails too.
+  Frame cut = frame;
+  cut.payload.resize(cut.payload.size() - 5);
+  EXPECT_FALSE(FromFrame<StreamChunkMsg>(cut).ok());
 }
 
 TEST(MessageDigestTest, DigestSeparatesConfigs) {

@@ -352,93 +352,6 @@ TEST(ProtocolOtTest, PrivateSubsamplingHonorsHiddenMask) {
   for (int d = 0; d < dim; ++d) EXPECT_NEAR(out.value()[d], expect[d], 1e-7);
 }
 
-TEST(ProtocolCacheTest, EncWeightCacheHitsOnUnchangedMask) {
-  // cache_enc_weights: with OT off and an unchanged sampling mask, later
-  // rounds reuse the previous ciphertext vector. The aggregate must still
-  // match the plaintext reference every round.
-  const int silos = 3, users = 6, dim = 4;
-  auto in = MakeInputs(silos, users, dim, 321);
-  std::vector<bool> mask(users, true);
-  mask[1] = false;
-  ProtocolConfig config;
-  config.paillier_bits = 512;
-  config.n_max = 30;
-  config.seed = 555;
-  config.cache_enc_weights = true;
-  PrivateWeightingProtocol protocol(config, silos, users);
-  ASSERT_TRUE(protocol.Setup(in.histograms).ok());
-  Vec expect = PlaintextReference(in, mask, dim);
-
-  auto out0 = protocol.WeightingRound(0, in.deltas, in.noise, mask);
-  ASSERT_TRUE(out0.ok());
-  EXPECT_EQ(protocol.enc_weight_cache_hits(), 0u);
-
-  auto out1 = protocol.WeightingRound(1, in.deltas, in.noise, mask);
-  ASSERT_TRUE(out1.ok());
-  EXPECT_EQ(protocol.enc_weight_cache_hits(), 1u);
-  // Identical ciphertexts + identical inputs => identical round output.
-  EXPECT_EQ(out0.value(), out1.value());
-  for (int d = 0; d < dim; ++d) EXPECT_NEAR(out1.value()[d], expect[d], 1e-7);
-}
-
-TEST(ProtocolCacheTest, MaskChangeInvalidatesEncWeightCache) {
-  const int silos = 2, users = 5, dim = 3;
-  auto in = MakeInputs(silos, users, dim, 654);
-  ProtocolConfig config;
-  config.paillier_bits = 512;
-  config.n_max = 30;
-  config.seed = 556;
-  config.cache_enc_weights = true;
-  PrivateWeightingProtocol protocol(config, silos, users);
-  ASSERT_TRUE(protocol.Setup(in.histograms).ok());
-
-  std::vector<bool> mask_a(users, true);
-  std::vector<bool> mask_b(users, true);
-  mask_b[0] = false;
-  ASSERT_TRUE(protocol.WeightingRound(0, in.deltas, in.noise, mask_a).ok());
-  // Changed mask: fresh ciphertexts for every user, so no enc-weight hit.
-  auto out_b = protocol.WeightingRound(1, in.deltas, in.noise, mask_b);
-  ASSERT_TRUE(out_b.ok());
-  EXPECT_EQ(protocol.enc_weight_cache_hits(), 0u);
-  Vec expect_b = PlaintextReference(in, mask_b, dim);
-  for (int d = 0; d < dim; ++d) {
-    EXPECT_NEAR(out_b.value()[d], expect_b[d], 1e-7);
-  }
-  // Back to mask_b again: now it hits.
-  ASSERT_TRUE(protocol.WeightingRound(2, in.deltas, in.noise, mask_b).ok());
-  EXPECT_EQ(protocol.enc_weight_cache_hits(), 1u);
-}
-
-TEST(ProtocolCacheTest, CachedRoundsAreThreadCountInvariant) {
-  // The cached path must stay bitwise schedule-independent too.
-  const int silos = 2, users = 4, dim = 3;
-  auto in = MakeInputs(silos, users, dim, 987);
-  std::vector<bool> mask(users, true);
-  std::vector<Vec> ref;
-  for (int threads : {1, 2, 5}) {
-    ProtocolConfig config;
-    config.paillier_bits = 512;
-    config.n_max = 30;
-    config.seed = 557;
-    config.cache_enc_weights = true;
-    config.num_threads = threads;
-    PrivateWeightingProtocol protocol(config, silos, users);
-    ASSERT_TRUE(protocol.Setup(in.histograms).ok());
-    std::vector<Vec> outs;
-    for (uint64_t r = 0; r < 2; ++r) {
-      auto out = protocol.WeightingRound(r, in.deltas, in.noise, mask);
-      ASSERT_TRUE(out.ok());
-      outs.push_back(std::move(out.value()));
-    }
-    EXPECT_EQ(protocol.enc_weight_cache_hits(), 1u);
-    if (threads == 1) {
-      ref = std::move(outs);
-    } else {
-      EXPECT_EQ(outs, ref) << "thread count " << threads;
-    }
-  }
-}
-
 // Packing-feasible configuration: at 512-bit keys the slot width is driven
 // by C_LCM(n_max) and pack_clip/precision, and n_max=8 / 1e-6 / clip 8
 // leaves room for all of k in {2, 4, 8}.

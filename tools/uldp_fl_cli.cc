@@ -104,7 +104,7 @@ struct Flags {
   bool pipeline = false;    // protocol: multi-round pipelining (this party)
   int net_timeout = 0;      // seconds; recv/handshake deadline on TCP (0=off)
   // Streaming rounds (bounded peak RSS; must match on every party).
-  int stream_chunk_users = 0;   // > 0: stream enc weights in user chunks
+  int stream_chunk_users = 0;   // enc-weight chunk size (0 = all users)
   int stream_chunk_coords = 0;  // cipher-upload chunk size (0 = default)
   int stream_window = 0;        // unacked chunks in flight (0 = default)
   int max_frame_bytes = 0;      // wire frame payload cap (0 = default)
@@ -183,7 +183,7 @@ void PrintHelp() {
       "                              chunk: peak resident ciphertexts are\n"
       "                              O(K), independent of --users, and the\n"
       "                              aggregates stay bitwise identical\n"
-      "                              (0 = materialize whole rounds)\n"
+      "                              (0 = one chunk of all users)\n"
       "  --stream-chunk-coords=C     cipher-upload coordinates per chunk\n"
       "                              (0 = default 256)\n"
       "  --stream-window=W           unacknowledged chunks in flight per\n"
@@ -475,9 +475,12 @@ Result<Flags> ParseFlags(int argc, char** argv) {
   if (!flags.connect.empty() && flags.silo_id >= flags.silos) {
     return Status::OutOfRange("--silo-id must be < --silos");
   }
-  if (flags.stream_chunk_users > 0 && flags.async) {
+  if ((flags.stream_chunk_users > 0 || flags.stream_chunk_coords > 0 ||
+       flags.stream_window > 0) &&
+      flags.async) {
     return Status::InvalidArgument(
-        "--stream-chunk-users applies to Protocol 1, not the async FL demo");
+        "--stream-chunk-users/--stream-chunk-coords/--stream-window apply "
+        "to Protocol 1, not the async FL demo");
   }
   if ((flags.ot_slots > 0 || flags.pack_slots > 1) && flags.async) {
     return Status::InvalidArgument(
@@ -486,11 +489,6 @@ Result<Flags> ParseFlags(int argc, char** argv) {
   if (flags.stats_port >= 0 && flags.serve < 0) {
     return Status::InvalidArgument(
         "--stats-port runs on the servers; it requires --serve");
-  }
-  if ((flags.stream_chunk_coords > 0 || flags.stream_window > 0) &&
-      flags.stream_chunk_users <= 0) {
-    return Status::InvalidArgument(
-        "--stream-chunk-coords/--stream-window require --stream-chunk-users");
   }
   if (flags.async_buffer > flags.silos) {
     return Status::InvalidArgument("--async-buffer must be <= --silos");
