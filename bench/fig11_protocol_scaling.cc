@@ -188,8 +188,9 @@ int main() {
     }
   }
   scaling.Print(std::cout);
-  std::cout << "\nSpeedup tracks physical cores (work-stealing over silos "
-               "and coordinates); identical outputs are the engine's "
-               "determinism contract, not an accident of scheduling.\n";
+  std::cout << "\nSpeedup tracks physical cores (silos and coordinates "
+               "claimed one index at a time by every pool thread); "
+               "identical outputs are the engine's determinism contract, "
+               "not an accident of scheduling.\n";
   return 0;
 }

@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -159,8 +160,18 @@ double TimedPackedRound(int pack_slots, int users, int dim, Vec* out) {
 struct ShortFoldResult {
   double short_s = -1.0;
   double reference_s = -1.0;
+  double speedup = -1.0;  // median of the per-repetition reference/short
   bool plaintext_equal = false;
 };
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// Repetitions behind each gated timing ratio: one sample on a shared host
+/// reads noise, so the gates take a min or a median over interleaved runs.
+constexpr int kGateReps = 5;
 
 ShortFoldResult ShortFoldSeries(int bits, int users, int dim, int pack_slots,
                                 double window, int min_iters) {
@@ -261,8 +272,17 @@ ShortFoldResult ShortFoldSeries(int bits, int users, int dim, int pack_slots,
       }
     }
   };
-  result.short_s = SecondsPerOp(short_fold, window, min_iters) / users;
-  result.reference_s = SecondsPerOp(reference_fold, window, min_iters) / users;
+  // Interleaved so both folds of a repetition see the same host load.
+  std::vector<double> short_s, reference_s, ratios;
+  for (int rep = 0; rep < kGateReps; ++rep) {
+    short_s.push_back(SecondsPerOp(short_fold, window, min_iters) / users);
+    reference_s.push_back(SecondsPerOp(reference_fold, window, min_iters) /
+                          users);
+    ratios.push_back(reference_s.back() / short_s.back());
+  }
+  result.short_s = Median(short_s);
+  result.reference_s = Median(reference_s);
+  result.speedup = Median(ratios);
   result.plaintext_equal = fold_ok;
   for (size_t g = 0; g < cdim; ++g) {
     auto a = ctx.Decrypt(short_acc[g]);
@@ -480,7 +500,7 @@ int main() {
                r.reference_s);
       RecordOp(table, json, rows, op, "short_exponent", fold_bits,
                r.short_s);
-      json.Add("speedup_short_fold_vs_table", r.reference_s / r.short_s,
+      json.Add("speedup_short_fold_vs_table", r.speedup,
                {{"shape", shape}, {"bits", std::to_string(fold_bits)}});
       equal = equal && r.plaintext_equal;
     }
@@ -535,31 +555,42 @@ int main() {
   const int dim = smoke ? 12 : 48;
   std::cout << "\n=== Protocol round with ciphertext packing (pack-feasible "
                "config: n_max 8, precision 1e-6, clip 8) ===\n";
+  // Each pack factor's time is its fastest of kGateReps rounds, the
+  // factors interleaved within every repetition; every round's aggregate
+  // must equal the first unpacked one.
+  const std::vector<int> packs = {1, 2, 4, 8};
+  std::vector<double> best_s(packs.size(),
+                             std::numeric_limits<double>::infinity());
+  std::vector<bool> same(packs.size(), true);
   Vec packed_ref;
-  double packed1_s = TimedPackedRound(1, users, dim, &packed_ref);
-  if (packed1_s < 0.0) {
-    std::cerr << "packed protocol round failed\n";
-    return 1;
+  for (int rep = 0; rep < kGateReps; ++rep) {
+    for (size_t i = 0; i < packs.size(); ++i) {
+      Vec out;
+      const double s = TimedPackedRound(packs[i], users, dim, &out);
+      if (s < 0.0) {
+        std::cerr << "packed protocol round failed at pack_slots "
+                  << packs[i] << "\n";
+        return 1;
+      }
+      if (rep == 0 && i == 0) packed_ref = out;
+      same[i] = same[i] && out == packed_ref;
+      best_s[i] = std::min(best_s[i], s);
+    }
   }
   Table packed({"pack_slots", "round_seconds", "speedup",
                 "bitwise_identical"});
-  packed.AddRow({"1", FormatG(packed1_s, 4), "1.0", "ref"});
-  json.Add("round_seconds_packed", packed1_s, {{"pack_slots", "1"}});
   bool packed_identical = true;
-  for (int k : {2, 4, 8}) {
-    Vec out;
-    double k_s = TimedPackedRound(k, users, dim, &out);
-    if (k_s < 0.0) {
-      std::cerr << "packed protocol round failed at pack_slots " << k << "\n";
-      return 1;
+  for (size_t i = 0; i < packs.size(); ++i) {
+    const std::string ks = std::to_string(packs[i]);
+    packed_identical = packed_identical && same[i];
+    packed.AddRow({ks, FormatG(best_s[i], 4),
+                   FormatG(best_s[0] / best_s[i], 3),
+                   i == 0 ? "ref" : same[i] ? "yes" : "NO (BUG)"});
+    json.Add("round_seconds_packed", best_s[i], {{"pack_slots", ks}});
+    if (i > 0) {
+      json.Add("packed_round_speedup", best_s[0] / best_s[i],
+               {{"pack_slots", ks}});
     }
-    const bool same = out == packed_ref;
-    packed_identical = packed_identical && same;
-    const std::string ks = std::to_string(k);
-    packed.AddRow({ks, FormatG(k_s, 4), FormatG(packed1_s / k_s, 3),
-                   same ? "yes" : "NO (BUG)"});
-    json.Add("round_seconds_packed", k_s, {{"pack_slots", ks}});
-    json.Add("packed_round_speedup", packed1_s / k_s, {{"pack_slots", ks}});
   }
   packed.Print(std::cout);
   json.Add("packed_bitwise_identical", packed_identical ? 1.0 : 0.0);

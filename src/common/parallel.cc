@@ -8,25 +8,40 @@ namespace uldp {
 
 namespace {
 
-// Set while a thread is executing pool tasks; nested ParallelFor calls on
+// Set while a thread is executing pool items; nested ParallelFor calls on
 // such a thread run inline instead of re-entering the scheduler.
 thread_local bool t_inside_pool = false;
 
 }  // namespace
 
+/// One ParallelFor call, held on its caller's stack. Indices are claimed
+/// with next.fetch_add(1); `workers` counts the workers that joined the
+/// call and have not yet left it.
+struct ThreadPool::Loop {
+  const std::function<void(size_t)>* fn;
+  size_t n;
+  std::atomic<size_t> next{0};
+  std::atomic<int> workers{0};
+
+  void Run() {
+    for (size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+      (*fn)(i);
+    }
+  }
+};
+
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(num_threads > 0 ? num_threads : DefaultThreadCount()) {
   const size_t workers = static_cast<size_t>(num_threads_ - 1);
-  queues_ = std::vector<Queue>(workers);
   threads_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(wake_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
   wake_cv_.notify_all();
@@ -47,45 +62,25 @@ ThreadPool& ThreadPool::Global() {
   return *pool;
 }
 
-bool ThreadPool::RunOneTask(size_t self) {
-  std::function<void()> task;
-  // Own queue first (LIFO: best locality for the most recent push), then
-  // steal the oldest task from a peer.
-  const size_t count = queues_.size();
-  for (size_t probe = 0; probe <= count && !task; ++probe) {
-    size_t q = probe == 0 ? self : (self + probe) % count;
-    if (probe == 0 && self >= count) continue;  // caller has no own queue
-    if (probe > 0 && q == self) continue;
-    Queue& queue = queues_[q];
-    std::lock_guard<std::mutex> lock(queue.mu);
-    if (queue.tasks.empty()) continue;
-    if (q == self) {
-      task = std::move(queue.tasks.back());
-      queue.tasks.pop_back();
-    } else {
-      task = std::move(queue.tasks.front());
-      queue.tasks.pop_front();
-    }
-  }
-  if (!task) return false;
-  {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    --pending_;
-  }
-  task();
-  return true;
-}
-
-void ThreadPool::WorkerLoop(size_t self) {
+void ThreadPool::WorkerLoop() {
   t_inside_pool = true;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(wake_mu_);
-      wake_cv_.wait(lock, [this] { return stop_ || pending_ > 0; });
-      if (stop_ && pending_ == 0) return;
-    }
-    while (RunOneTask(self)) {
-    }
+    wake_cv_.wait(lock, [this] { return stop_ || !loops_.empty(); });
+    if (stop_) return;
+    // Join under the lock, while the loop is listed: its caller unlists it
+    // under the same lock before waiting for `workers` to drain.
+    Loop* loop = loops_.front();
+    loop->workers.fetch_add(1, std::memory_order_relaxed);
+    lock.unlock();
+    loop->Run();
+    lock.lock();
+    // Every index is claimed: unlist the loop so idle workers move on to
+    // the next call instead of rejoining this one.
+    loops_.erase(std::remove(loops_.begin(), loops_.end(), loop),
+                 loops_.end());
+    // The last touch of the caller-owned Loop; it may return right after.
+    loop->workers.fetch_sub(1, std::memory_order_release);
   }
 }
 
@@ -96,45 +91,28 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     return;
   }
 
-  // Chunk into a few tasks per thread so stealing can balance uneven
-  // per-index costs without per-index scheduling overhead.
-  const size_t chunks =
-      std::min(n, static_cast<size_t>(num_threads_) * 4);
-  const size_t base = n / chunks;
-  const size_t extra = n % chunks;
-  std::atomic<size_t> done{0};
-
-  // Count the tasks before publishing any: a worker still draining a
-  // previous call may pop a fresh task immediately, and its --pending_
-  // must never underflow.
+  Loop loop{&fn, n};
   {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    pending_ += chunks;
-  }
-  size_t begin = 0;
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t len = base + (c < extra ? 1 : 0);
-    const size_t end = begin + len;
-    auto task = [&fn, &done, begin, end] {
-      for (size_t i = begin; i < end; ++i) fn(i);
-      done.fetch_add(end - begin, std::memory_order_release);
-    };
-    Queue& queue = queues_[c % queues_.size()];
-    {
-      std::lock_guard<std::mutex> lock(queue.mu);
-      queue.tasks.emplace_back(std::move(task));
-    }
-    begin = end;
+    std::lock_guard<std::mutex> lock(mu_);
+    loops_.push_back(&loop);
   }
   wake_cv_.notify_all();
 
-  // The caller works too: steal chunks until every iteration has finished
-  // (some may still be running on workers after the queues drain).
+  // The caller works too, on its own indices only.
   t_inside_pool = true;
-  while (done.load(std::memory_order_acquire) < n) {
-    if (!RunOneTask(queues_.size())) std::this_thread::yield();
-  }
+  loop.Run();
   t_inside_pool = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    loops_.erase(std::remove(loops_.begin(), loops_.end(), &loop),
+                 loops_.end());
+  }
+  // No worker can join any more; wait (on this core) for those still
+  // finishing an item. Their release pairs with this acquire, so every
+  // item's writes are visible on return.
+  while (loop.workers.load(std::memory_order_acquire) > 0) {
+    std::this_thread::yield();
+  }
 }
 
 }  // namespace uldp

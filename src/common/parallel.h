@@ -1,4 +1,4 @@
-// Work-stealing thread pool backing the federated round engine and the
+// Self-scheduling thread pool backing the federated round engine and the
 // private weighting protocol. Parallelism never changes results: callers
 // pair every work item with a deterministic Rng::Fork substream and reduce
 // outputs in index order, so an N-thread run is bitwise identical to a
@@ -9,7 +9,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -19,9 +18,9 @@
 namespace uldp {
 
 /// Fixed-size pool of `num_threads - 1` worker threads plus the calling
-/// thread. Each worker owns a deque; idle workers steal from peers, so
-/// uneven per-item costs (e.g. silos with very different record counts)
-/// balance automatically.
+/// thread. Every index is claimed one at a time from its call's shared
+/// counter, so uneven per-item costs (e.g. silos with very different
+/// record counts) balance automatically.
 class ThreadPool {
  public:
   /// `num_threads` <= 0 resolves via DefaultThreadCount(). A pool of 1
@@ -38,13 +37,10 @@ class ThreadPool {
   /// across indices and must not throw. Nested calls from inside a worker
   /// run their iterations inline (serially) to avoid deadlock.
   ///
-  /// fn must not block on another thread's progress (a network receive, a
-  /// condition another party signals): while it waits, a caller runs
-  /// queued tasks from *any* ParallelFor on the same pool, so a blocked
-  /// task can stall an unrelated caller whose work is the very progress
-  /// it waits for. Components sharing the process-wide Global() pool
-  /// (num_threads <= 0) make this a cross-component deadlock; keep I/O in
-  /// plain loops outside the pool.
+  /// The caller only ever runs items of its own call, so a call finishes
+  /// even while every worker is blocked inside another call's item:
+  /// concurrent calls on one pool (the process-wide Global() pool shared
+  /// by in-process parties included) never wait on each other's progress.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   int num_threads() const { return num_threads_; }
@@ -57,22 +53,16 @@ class ThreadPool {
   static ThreadPool& Global();
 
  private:
-  struct Queue {
-    std::deque<std::function<void()>> tasks;
-    std::mutex mu;
-  };
+  struct Loop;
 
-  void WorkerLoop(size_t self);
-  /// Pops one task (own queue first, then steals); returns false if none.
-  bool RunOneTask(size_t self);
+  void WorkerLoop();
 
   int num_threads_;
-  std::vector<Queue> queues_;
   std::vector<std::thread> threads_;
-  std::mutex wake_mu_;
+  std::mutex mu_;  // guards loops_ and stop_
   std::condition_variable wake_cv_;
+  std::vector<Loop*> loops_;  // calls that may have unclaimed indices
   bool stop_ = false;
-  size_t pending_ = 0;  // queued-but-unclaimed tasks, guarded by wake_mu_
 };
 
 /// Resolves a thread-count knob to a pool: the process-wide Global() pool

@@ -10,7 +10,7 @@
 //
 // Silo rounds run on the shared RoundEngine: per-user local training draws
 // from Rng::Fork(round, silo, user) substreams, so the schedule (thread
-// count, work stealing) never changes the trained model.
+// count, which thread claims which user) never changes the trained model.
 
 #ifndef ULDP_CORE_ULDP_AVG_H_
 #define ULDP_CORE_ULDP_AVG_H_

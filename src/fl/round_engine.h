@@ -1,7 +1,7 @@
 // Unified parallel round engine. Every FL algorithm in this codebase is a
 // cross-silo round: silos compute local contributions independently, and
 // the server reduces them. The engine owns that structure once — a silo-
-// actor scheduler on a work-stealing pool plus the deterministic reduce —
+// actor scheduler on a self-scheduling pool plus the deterministic reduce —
 // so trainers only register their per-silo LocalWork callback.
 //
 // Determinism contract: the engine never hands callbacks a shared RNG.
@@ -259,7 +259,8 @@ class RoundEngine {
   struct AsyncState;
 
   /// Checks a model clone out of the free list, blocking until one is
-  /// available (stolen work can briefly oversubscribe the pool).
+  /// available. One ParallelFor runs at most num_threads() items at once
+  /// and the engine keeps that many clones, so only concurrent calls wait.
   Model* AcquireModel();
   void ReleaseModel(Model* model);
   /// Grows the clone pool to `n` clones (from the pristine prototype —

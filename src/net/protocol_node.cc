@@ -90,7 +90,7 @@ void ProtocolServer::StartPrefetch(uint64_t round,
                         static_cast<int64_t>(prefetch_round_));
     auto enc = core_.EncryptWeightsRange(
         prefetch_round_, prefetch_mask_, 0,
-        StreamChunkUsers(config_, num_users_), prefetch_pool_);
+        StreamChunkUsers(config_, num_users_), *pool_);
     if (enc.ok()) {
       prefetch_enc_ = std::move(enc.value());
       prefetch_status_ = Status::Ok();
@@ -125,7 +125,9 @@ Result<Frame> ProtocolServer::RecvFrom(int silo) {
 
 Status ProtocolServer::Broadcast(const Frame& frame) {
   // Every silo gets the frame even after a failed send; the first error
-  // wins. Sends never run on the compute pool (see ThreadPool::ParallelFor).
+  // wins. Sends run in this plain loop: on the pool a send blocked on a
+  // slow peer would only hold a worker idle (a ParallelFor caller never
+  // runs another call's items), with nothing to parallelize.
   Status first = Status::Ok();
   for (const auto& conn : conns_) {
     Status status = conn->Send(frame);

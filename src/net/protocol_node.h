@@ -184,12 +184,10 @@ class ProtocolServer {
   double phase_time_start_ = 0.0;
 
   // Pipeline prefetch state (config_.pipeline). The prefetch thread runs
-  // EncryptWeightsRange inline on itself (a 1-thread pool spawns no workers),
-  // touching only plaintext-independent randomizer state, while the main
-  // thread's concurrent work on the round is read-only w.r.t. that state;
-  // the join in TakePrefetch is the happens-before edge before anyone
-  // reads the result.
-  ThreadPool prefetch_pool_{1};
+  // EncryptWeightsRange on pool_, touching only plaintext-independent
+  // randomizer state, while the main thread's concurrent work on the
+  // round is read-only w.r.t. that state; the join in TakePrefetch is the
+  // happens-before edge before anyone reads the result.
   std::thread prefetch_thread_;
   uint64_t prefetch_round_ = 0;
   std::vector<bool> prefetch_mask_;
@@ -254,9 +252,9 @@ class SiloClient {
   std::vector<int> histogram_;
   /// Runs the fold and FinishRound, and also the pipeline prefetch, whose
   /// thread calls PrecomputeRoundMasks concurrently with the main
-  /// thread's fold: both are pure compute (no task blocks on another
-  /// thread, the ParallelFor contract), so the next round's Enc(0)s
-  /// spread over every worker the fold leaves idle.
+  /// thread's fold. Each ParallelFor caller runs only its own call's
+  /// items, so neither call waits on the other, and the next round's
+  /// Enc(0)s spread over every worker the fold leaves idle.
   PoolHandle pool_;
   std::unique_ptr<SiloCore> core_;  // built after SetupParams arrives
 };

@@ -129,9 +129,9 @@ TEST(NetProtocolTest, ChannelAndTcpRoundsBitwiseMatchInProcess) {
   // Exact double equality — bitwise-identical aggregates, not "close".
   EXPECT_EQ(RunOverTcp(config), reference);
   // The channel deployment at every pool shape. num_threads = 0 puts the
-  // server and all in-process silos on the one process-wide pool, where a
-  // server receive running as a pool task could be stolen by a silo's
-  // compute loop and deadlock the round; repeat it back to back.
+  // server and all in-process silos on the one process-wide pool, where
+  // their concurrent ParallelFor calls must never wait on each other's
+  // items; repeat it back to back.
   for (int threads : {0, 0, 0, 0, 1, 3}) {
     config.num_threads = threads;
     EXPECT_EQ(RunOverChannels(config), reference) << threads << " threads";

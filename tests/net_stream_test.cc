@@ -162,14 +162,21 @@ TEST(NetStreamTest, PipelinedChunkedRoundsServeFirstChunkFromPrefetch) {
   // round r's ciphers are gathered, and pipelined silos precompute round
   // r+1's masks and Enc(0)s from their round-r FinishRound. Every round
   // after the first must take chunk 0 from the prefetch, and the
-  // aggregates must not move by a bit.
+  // aggregates must not move by a bit. The prefetch shares the server's
+  // compute pool, so run it inline (1), on a private pool (3) and on the
+  // process-wide pool every in-process party shares (0).
   constexpr int kPipelinedRounds = 3;
   std::vector<Vec> reference = RunInProcess(TestConfig(), kPipelinedRounds);
-  ProtocolConfig pipelined = StreamTestConfig();
-  pipelined.pipeline = true;
-  uint64_t hits = 0;
-  EXPECT_EQ(RunOverChannels(pipelined, kPipelinedRounds, &hits), reference);
-  EXPECT_EQ(hits, static_cast<uint64_t>(kPipelinedRounds - 1));
+  for (int threads : {0, 1, 3}) {
+    ProtocolConfig pipelined = StreamTestConfig();
+    pipelined.pipeline = true;
+    pipelined.num_threads = threads;
+    uint64_t hits = 0;
+    EXPECT_EQ(RunOverChannels(pipelined, kPipelinedRounds, &hits), reference)
+        << threads << " threads";
+    EXPECT_EQ(hits, static_cast<uint64_t>(kPipelinedRounds - 1))
+        << threads << " threads";
+  }
 }
 
 TEST(NetStreamTest, ChunkedOtModeBitwiseMatchesOneChunk) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.h"
@@ -112,11 +116,56 @@ TEST(ThreadPoolTest, UnevenWorkCompletes) {
   std::atomic<long> sum{0};
   pool.ParallelFor(64, [&](size_t i) {
     long local = 0;
-    // Index-dependent cost so stealing actually has something to balance.
+    // Index-dependent cost, so per-index claiming has something to balance.
     for (size_t k = 0; k < (i % 8 + 1) * 10000; ++k) local += (long)k % 7;
     sum.fetch_add(local % 1000 + static_cast<long>(i));
   });
   EXPECT_GT(sum.load(), 0);
+}
+
+TEST(ThreadPoolTest, BlockedItemsCannotStallAConcurrentCall) {
+  // Call A's items block until call B has returned, and B runs on the same
+  // pool while every thread is inside an A item. B's caller must finish B
+  // on its own; a caller that picked up A's items would block in one of
+  // them and never return. Every wait is bounded, so a regression fails
+  // here by name instead of hanging the suite.
+  ThreadPool pool(4);
+  const auto kWait = std::chrono::seconds(10);
+  std::mutex mu;
+  std::condition_variable cv;
+  int a_started = 0;
+  bool b_returned = false;
+  std::atomic<int> timeouts{0};
+  std::atomic<int> a_done{0};
+  std::thread a([&] {
+    pool.ParallelFor(32, [&](size_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      ++a_started;
+      cv.notify_all();
+      if (!cv.wait_for(lock, kWait, [&] { return b_returned; })) {
+        timeouts.fetch_add(1);
+      }
+      a_done.fetch_add(1);
+    });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, kWait,
+                     [&] { return a_started >= pool.num_threads(); })) {
+      timeouts.fetch_add(1);
+    }
+  }
+  std::atomic<int> b_items{0};
+  pool.ParallelFor(16, [&](size_t) { b_items.fetch_add(1); });
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    b_returned = true;
+  }
+  cv.notify_all();
+  a.join();
+  EXPECT_EQ(timeouts.load(), 0);
+  EXPECT_EQ(b_items.load(), 16);
+  EXPECT_EQ(a_done.load(), 32);
 }
 
 TEST(ThreadPoolTest, SequentialCallsReuseWorkers) {

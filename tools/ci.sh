@@ -7,9 +7,28 @@
 # (-DULDP_SANITIZE=ON) and runs the fast unit-test subset sanitized —
 # the substrate suites where boundary off-by-ones live (BigInt,
 # Montgomery/fixed-base, fixed point, CSV, masks, Paillier, DH/OT).
+#
+# SANITIZE=thread tools/ci.sh [build-dir] builds the thread pool and the
+# concurrent protocol suites with ThreadSanitizer (default dir build-tsan)
+# and runs them; any data race report fails the run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 2)"
+
+if [ "${SANITIZE:-0}" = "thread" ]; then
+  BUILD_DIR="${1:-build-tsan}"
+  TSAN_TESTS=(parallel_test net_protocol_test net_stream_test
+              async_rounds_test)
+  cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
+      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+  cmake --build "$BUILD_DIR" -j"$JOBS" --target "${TSAN_TESTS[@]}"
+  TSAN_REGEX="^($(IFS='|'; echo "${TSAN_TESTS[*]}"))\$"
+  TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+    ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS" \
+      -R "$TSAN_REGEX"
+  exit 0
+fi
 
 if [ "${SANITIZE:-0}" = "1" ]; then
   # Separate default build dir: writing ULDP_SANITIZE=ON into the plain
